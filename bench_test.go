@@ -1,14 +1,13 @@
 // Top-level benchmark harness: one testing.B benchmark per table and
 // figure of the paper's evaluation, plus the ablation benches DESIGN.md §5
 // calls out. Each benchmark runs a reduced-size version of the experiment
-// (the full-size runs live behind cmd/remon-bench) and reports the key
-// figure-of-merit as custom metrics.
+// (the full-size runs live behind cmd/remon-bench -experiment) and reports
+// the key figure-of-merit as custom metrics, in virtual time.
 //
 //	go test -bench=. -benchmem
 package remon
 
 import (
-	"fmt"
 	"testing"
 
 	"remon/internal/bench"
@@ -160,8 +159,7 @@ func BenchmarkTable2MVEEComparison(b *testing.B) {
 }
 
 // runAblate measures the virtual duration of the dense workload
-// (bench.SyscallDenseProgram, shared with the BENCH_rb.json tracker)
-// under a config.
+// (bench.SyscallDenseProgram) under a config.
 func runAblate(b *testing.B, cfg core.Config) model.Duration {
 	b.Helper()
 	cfg.Mode = core.ModeReMon
@@ -296,25 +294,4 @@ func BenchmarkMicroSyscallPaths(b *testing.B) {
 		}
 		b.ReportMetric(d.Seconds()*1e9/bench.MicroCallCount, "virtual-ns/call")
 	})
-}
-
-// BenchmarkFleetServing measures the serving-at-scale scenario: the same
-// concurrent workload against 1/2/4 MVEE shards behind the virtual load
-// balancer, reporting aggregate virtual-time throughput per shard count
-// (the full sweep plus recovery latency lives behind
-// remon-bench -fleet-json).
-func BenchmarkFleetServing(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			var reqPerVSec float64
-			for i := 0; i < b.N; i++ {
-				rows, err := bench.RunFleetThroughput(bench.Quick(), []int{shards})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reqPerVSec = rows[0].ReqPerVSec
-			}
-			b.ReportMetric(reqPerVSec, "virtual-req/s")
-		})
-	}
 }

@@ -3,51 +3,88 @@
 //
 // Usage:
 //
-//	remon-bench [-experiment table1|fig3|fig4|fig5|table2|fleet|all]
-//	            [-iterations N] [-connections N] [-requests N] [-quick]
-//	            [-rb-json BENCH_rb.json] [-fleet-json BENCH_fleet.json]
-//	            [-ghumvee-json BENCH_ghumvee.json] [-policy-json BENCH_policy.json]
-//	            [-pipeline-json BENCH_pipeline.json] [-autotune-json BENCH_autotune.json]
-//	            [-autoscale-json BENCH_autoscale.json] [-attackgen-json BENCH_attackgen.json]
-//	            [-mconn-json BENCH_mconn.json] [-mconn-levels N,N,N] [-mconn-rate N]
+//	remon-bench [-experiment table1|fig3|fig4|fig5|table2|all]
+//	            [-iterations N] [-connections N] [-requests N]
+//	            [-max-replicas N] [-quick]
 //
 // Absolute numbers are virtual-time measurements on the simulated
-// substrate; the claim being reproduced is the *shape* (see
-// EXPERIMENTS.md).
+// substrate; the claim being reproduced is the *shape*. Host-time and
+// per-layer numbers come from the benchmark program (go run ./benchmark).
+// An unknown experiment name is a usage error (exit status 2).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 
 	"remon/internal/bench"
 	"remon/internal/workload"
 )
 
-func main() {
-	experiment := flag.String("experiment", "all", "table1, fig3, fig4, fig5, table2, fleet or all")
-	iterations := flag.Int("iterations", 0, "synthetic profile iterations per thread (0 = default)")
-	connections := flag.Int("connections", 0, "server benchmark client connections (0 = default)")
-	requests := flag.Int("requests", 0, "requests per connection (0 = default)")
-	maxReplicas := flag.Int("max-replicas", 0, "Figure 5 replica sweep upper bound (0 = 7)")
-	quick := flag.Bool("quick", false, "small sizes for a fast smoke run")
-	rbJSON := flag.String("rb-json", "", "write RB fast-path perf results (ns/op, allocs/op, virtual metrics) to this file, e.g. BENCH_rb.json")
-	policyJSON := flag.String("policy-json", "", "write the relaxation-level sweep (monitored vs unmonitored ns/call at each of the 5 levels) to this file, e.g. BENCH_policy.json")
-	ghumveeJSON := flag.String("ghumvee-json", "", "write GHUMVEE monitored-path perf results (ns/call, wakeups/call, epochs flushed) to this file, e.g. BENCH_ghumvee.json")
-	pipelineJSON := flag.String("pipeline-json", "", "write the master-ahead pipeline sweep (MaxLag x threads x replicas: unmonitored ns/call, futex wakes/call, group commits) to this file, e.g. BENCH_pipeline.json")
-	fleetJSON := flag.String("fleet-json", "", "write fleet serving results (shards, aggregate req/s in virtual time, p99 recovery latency) to this file, e.g. BENCH_fleet.json")
-	handoffJSON := flag.String("handoff-json", "", "write zero-loss failover results (p50/p99 handoff latency and requests lost at 1/2/4/8 shards) to this file, e.g. BENCH_handoff.json")
-	autotuneJSON := flag.String("autotune-json", "", "write the controller convergence experiment (conservative corner -> SLO under the 16-thread pipeline profile, plus the divergence snap-back) to this file, e.g. BENCH_autotune.json")
-	autoscaleJSON := flag.String("autoscale-json", "", "write the elastic-vs-fixed surge campaign (pool size vs offered load, shed rate, p99 admission latency) to this file, e.g. BENCH_autoscale.json")
-	attackgenJSON := flag.String("attackgen-json", "", "write the generated attack-class matrix (cells run, defeat rate, detection latency in calls per class, fleet smoke) to this file, e.g. BENCH_attackgen.json")
-	mconnJSON := flag.String("mconn-json", "", "write the million-connection sweep (paced open-loop arrivals per level, admit/response latency quantiles, goroutine high-water) to this file, e.g. BENCH_mconn.json")
-	mconnLevels := flag.String("mconn-levels", "", "comma-separated connection counts for the mconn sweep (default 10000,100000,1000000)")
-	mconnRate := flag.Int("mconn-rate", 0, "offered arrival rate for the mconn sweep in conns/s (0 = default; tune to the host's sustained service rate)")
-	fleetRecoveries := flag.Int("fleet-recoveries", 5, "injected-divergence recovery samples for the fleet scenario")
-	flag.Parse()
+// experiment is one paper artifact: its -experiment name, its heading and
+// the function that measures and renders it.
+type experiment struct {
+	name, title string
+	run         func(o bench.Options) (string, error)
+}
+
+var experiments = []experiment{
+	{"table1", "Table 1: monitor levels for spatial system call exemption", func(bench.Options) (string, error) {
+		return bench.FormatTable1(), nil
+	}},
+	{"fig3", "Figure 3: PARSEC 2.1 + SPLASH-2x normalized execution time (2 replicas)", func(o bench.Options) (string, error) {
+		res, err := bench.RunFig3(o)
+		return bench.FormatFig(res, []string{"no IP-MON", "IP-MON/NONSOCKET_RW_LEVEL"}), err
+	}},
+	{"fig4", "Figure 4: Phoronix suite across spatial relaxation policies (2 replicas)", func(o bench.Options) (string, error) {
+		res, err := bench.RunFig4(o)
+		return bench.FormatFig(res, workload.Fig4LevelNames), err
+	}},
+	{"fig5", "Figure 5: server benchmarks, two network scenarios, 2-7 replicas", func(o bench.Options) (string, error) {
+		rows, err := bench.RunFig5(o)
+		return bench.FormatFig5(rows), err
+	}},
+	{"table2", "Table 2: comparison with other MVEE designs (2 replicas)", func(o bench.Options) (string, error) {
+		rows, err := bench.RunTable2(o)
+		return bench.FormatTable2(rows), err
+	}},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes remon-bench with args and returns its exit status: 0 on
+// success, 1 when an experiment fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
+	valid := strings.Join(names, ", ")
+
+	fs := flag.NewFlagSet("remon-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	which := fs.String("experiment", "all", valid)
+	iterations := fs.Int("iterations", 0, "synthetic profile iterations per thread (0 = default)")
+	connections := fs.Int("connections", 0, "server benchmark client connections (0 = default)")
+	requests := fs.Int("requests", 0, "requests per connection (0 = default)")
+	maxReplicas := fs.Int("max-replicas", 0, "Figure 5 replica sweep upper bound (0 = 7)")
+	quick := fs.Bool("quick", false, "small sizes for a fast smoke run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if !slices.Contains(names, *which) {
+		fmt.Fprintf(stderr, "remon-bench: unknown experiment %q (valid: %s)\n", *which, valid)
+		return 2
+	}
 
 	o := bench.Options{
 		Iterations:        *iterations,
@@ -58,234 +95,17 @@ func main() {
 	if *quick {
 		o = bench.Quick()
 	}
-
-	run := func(name string, fn func() error) {
-		fmt.Printf("==== %s ====\n", name)
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "remon-bench: %s: %v\n", name, err)
-			os.Exit(1)
+	for _, e := range experiments {
+		if *which != "all" && *which != e.name {
+			continue
 		}
-		fmt.Println()
+		fmt.Fprintf(stdout, "==== %s ====\n", e.title)
+		out, err := e.run(o)
+		if err != nil {
+			fmt.Fprintf(stderr, "remon-bench: %s: %v\n", e.title, err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "%s\n", out)
 	}
-
-	if *rbJSON != "" {
-		run("RB fast-path perf -> "+*rbJSON, func() error {
-			results, err := bench.RunRBPerf()
-			if err != nil {
-				return err
-			}
-			payload, err := bench.MarshalRBPerf(results)
-			if err != nil {
-				return err
-			}
-			for _, r := range results {
-				fmt.Printf("%-42s %12.0f ns/op %8d allocs/op %12.1f %s\n",
-					r.Name, r.NsPerOp, r.AllocsPerOp, r.VirtualMetric, r.VirtualMetricName)
-			}
-			return os.WriteFile(*rbJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	if *policyJSON != "" {
-		run("Policy relaxation sweep -> "+*policyJSON, func() error {
-			results, err := bench.RunPolicyPerf()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatPolicyPerf(results))
-			payload, err := bench.MarshalPolicyPerf(results)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*policyJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	if *ghumveeJSON != "" {
-		run("GHUMVEE monitored-path perf -> "+*ghumveeJSON, func() error {
-			results, err := bench.RunGhumveePerf()
-			if err != nil {
-				return err
-			}
-			payload, err := bench.MarshalGhumveePerf(results)
-			if err != nil {
-				return err
-			}
-			for _, r := range results {
-				fmt.Printf("%-32s %10.0f ns/mcall %8.3f wakeups/call %6d epochs flushed %12.1f virtual-ns/call\n",
-					r.Name, r.MonitoredNsPerCall, r.WakeupsPerCall, r.EpochsFlushed, r.VirtualNsPerCall)
-			}
-			return os.WriteFile(*ghumveeJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	if *pipelineJSON != "" {
-		run("Master-ahead pipeline sweep -> "+*pipelineJSON, func() error {
-			results, err := bench.RunPipelinePerf()
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatPipelinePerf(results))
-			payload, err := bench.MarshalPipelinePerf(results)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*pipelineJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	if *autotuneJSON != "" {
-		run("Controller autotune convergence -> "+*autotuneJSON, func() error {
-			res, err := bench.RunAutotune(bench.AutotuneConfig{})
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatAutotune(res))
-			payload, err := bench.MarshalAutotune(res)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*autotuneJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	if *autoscaleJSON != "" {
-		run("Elastic autoscale surge (elastic vs fixed pool) -> "+*autoscaleJSON, func() error {
-			res, err := bench.RunAutoscaleSurge(bench.AutoscaleConfig{})
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatAutoscale(res))
-			payload, err := bench.MarshalAutoscale(res)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*autoscaleJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	if *attackgenJSON != "" {
-		run("Attack-generator matrix -> "+*attackgenJSON, func() error {
-			res, err := bench.RunAttackGen(*quick)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatAttackGen(res))
-			payload, err := bench.MarshalAttackGen(res)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*attackgenJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	if *mconnJSON != "" {
-		run("Million-connection sweep -> "+*mconnJSON, func() error {
-			cfg := bench.MConnConfig{RatePerSec: *mconnRate}
-			if *mconnLevels != "" {
-				for _, s := range strings.Split(*mconnLevels, ",") {
-					n, err := strconv.Atoi(strings.TrimSpace(s))
-					if err != nil || n <= 0 {
-						return fmt.Errorf("bad -mconn-levels entry %q", s)
-					}
-					cfg.Levels = append(cfg.Levels, n)
-				}
-			}
-			res, err := bench.RunMConn(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatMConn(res))
-			payload, err := bench.MarshalMConn(res)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*mconnJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	fleetDone := false
-	if *fleetJSON != "" {
-		fleetDone = true
-		run("Fleet serving (1/2/4/8 shards + recovery) -> "+*fleetJSON, func() error {
-			results, err := bench.RunFleetServing(o, bench.DefaultFleetShardCounts, *fleetRecoveries)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatFleet(results))
-			payload, err := bench.MarshalFleet(results)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*fleetJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	if *handoffJSON != "" {
-		run("Zero-loss failover (1/2/4/8 shards, kill each in turn) -> "+*handoffJSON, func() error {
-			results, err := bench.RunHandoffFailover(o, bench.DefaultHandoffShardCounts)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatHandoff(results))
-			payload, err := bench.MarshalHandoff(results)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(*handoffJSON, append(payload, '\n'), 0o644)
-		})
-	}
-	if (*rbJSON != "" || *fleetJSON != "" || *ghumveeJSON != "" || *policyJSON != "" || *pipelineJSON != "" || *handoffJSON != "" || *autotuneJSON != "" || *autoscaleJSON != "" || *attackgenJSON != "" || *mconnJSON != "") && *experiment == "" {
-		return
-	}
-
-	want := func(name string) bool { return *experiment == "all" || *experiment == name }
-
-	if want("table1") {
-		run("Table 1: monitor levels for spatial system call exemption", func() error {
-			fmt.Print(bench.FormatTable1())
-			return nil
-		})
-	}
-	if want("fig3") {
-		run("Figure 3: PARSEC 2.1 + SPLASH-2x normalized execution time (2 replicas)", func() error {
-			res, err := bench.RunFig3(o)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatFig(res, []string{"no IP-MON", "IP-MON/NONSOCKET_RW_LEVEL"}))
-			return nil
-		})
-	}
-	if want("fig4") {
-		run("Figure 4: Phoronix suite across spatial relaxation policies (2 replicas)", func() error {
-			res, err := bench.RunFig4(o)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatFig(res, workload.Fig4LevelNames))
-			return nil
-		})
-	}
-	if want("fig5") {
-		run("Figure 5: server benchmarks, two network scenarios, 2-7 replicas", func() error {
-			rows, err := bench.RunFig5(o)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatFig5(rows))
-			return nil
-		})
-	}
-	if want("fleet") && !fleetDone {
-		run("Fleet: sharded serving, 1-8 shards behind the virtual balancer", func() error {
-			results, err := bench.RunFleetServing(o, bench.DefaultFleetShardCounts, *fleetRecoveries)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatFleet(results))
-			return nil
-		})
-	}
-	if want("table2") {
-		run("Table 2: comparison with other MVEE designs (2 replicas)", func() error {
-			rows, err := bench.RunTable2(o)
-			if err != nil {
-				return err
-			}
-			fmt.Print(bench.FormatTable2(rows))
-			return nil
-		})
-	}
+	return 0
 }

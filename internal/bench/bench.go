@@ -3,12 +3,13 @@
 // under GHUMVEE-only vs IP-MON), Figure 4 (Phoronix across all five
 // spatial exemption levels), Figure 5 (server benchmarks over two network
 // scenarios and 2–7 replicas), Table 1 (the policy classification) and
-// Table 2 (comparison across MVEE designs), plus the ablation experiments
-// DESIGN.md §5 calls out.
+// Table 2 (comparison across MVEE designs), plus the programs the root
+// bench_test.go ablation benches (DESIGN.md §5) run.
 //
 // All numbers are normalized execution time: virtual duration under the
 // monitor divided by virtual duration of the identical workload running
-// natively on the same kernel substrate.
+// natively on the same kernel substrate. Host-time and per-layer numbers
+// come from the benchmark program (go run ./benchmark), not from here.
 package bench
 
 import (
@@ -19,6 +20,7 @@ import (
 
 	"remon/internal/apps"
 	"remon/internal/core"
+	"remon/internal/libc"
 	"remon/internal/model"
 	"remon/internal/policy"
 	"remon/internal/varan"
@@ -27,8 +29,38 @@ import (
 	"remon/internal/workload"
 )
 
-// Options trims experiment size (the *_test.go benches use Quick; the
-// remon-bench binary runs full size).
+// MicroCallCount is the number of getpid calls in MicroProgram (the
+// per-call virtual metric divides by it).
+const MicroCallCount = 500
+
+// MicroProgram is the syscall-dense getpid loop BenchmarkMicroSyscallPaths
+// runs on the native, IP-MON and GHUMVEE paths.
+func MicroProgram() libc.Program {
+	return func(env *libc.Env) {
+		for i := 0; i < MicroCallCount; i++ {
+			env.Getpid()
+		}
+	}
+}
+
+// SyscallDenseProgram is the file-write loop the ablation benches run: a
+// workload dense enough that RB mechanics dominate.
+func SyscallDenseProgram(iters int) libc.Program {
+	return func(env *libc.Env) {
+		fd, errno := env.Open("/tmp/ablate", vkernel.OCreat|vkernel.ORdwr, 0o644)
+		if errno != 0 {
+			return
+		}
+		for i := 0; i < iters; i++ {
+			env.Write(fd, []byte("0123456789abcdef0123456789abcdef"))
+			env.Compute(500 * model.Nanosecond)
+		}
+		env.Close(fd)
+	}
+}
+
+// Options trims experiment size (the *_test.go benches and remon-bench
+// -quick use Quick; remon-bench runs full size by default).
 type Options struct {
 	// Iterations per worker thread for synthetic profiles.
 	Iterations int

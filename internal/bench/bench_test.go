@@ -67,23 +67,58 @@ func TestFig4MonotoneLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	var prev float64 = math.Inf(1)
+	var prevRep *core.Report
 	for _, lv := range fig4Levels {
-		d, err := runProfileMode(p, core.Config{
+		rep, err := core.RunProgram(core.Config{
 			Mode: core.ModeReMon, Replicas: 2, Policy: lv.Level,
 			Seed: o.Seed, Partitions: benchPartitions,
-		})
+		}, workload.SyntheticProgram(p))
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := normalize(d, native)
-		// Allow small non-monotonicities (the paper's bars have them too)
-		// but the trend must be downward.
+		if rep.Verdict.Diverged {
+			t.Fatalf("%s diverged: %s", lv.Label, rep.Verdict.Reason)
+		}
+		v := normalize(rep.Duration, native)
+		// Allow small non-monotonicities in the normalized time (the
+		// paper's bars have them too) but the trend must be downward.
 		if v > prev*1.15 {
 			t.Errorf("%s: overhead %.2f regressed sharply from %.2f", lv.Label, v, prev)
 		}
 		prev = v
 		t.Logf("%-22s %.2f (paper %.2f)", lv.Label, v, p.PaperIPMon[lv.Label])
+		// Every class of this profile is nonempty, so each level strictly
+		// drains the monitored path into the unmonitored one, and the
+		// virtual ns per intercepted call falls with it.
+		if prevRep != nil {
+			if rep.Monitor.MonitoredCalls >= prevRep.Monitor.MonitoredCalls {
+				t.Errorf("%s: %d monitored calls, not below the previous level's %d",
+					lv.Label, rep.Monitor.MonitoredCalls, prevRep.Monitor.MonitoredCalls)
+			}
+			if unmonitored(rep) <= unmonitored(prevRep) {
+				t.Errorf("%s: %d unmonitored calls, not above the previous level's %d",
+					lv.Label, unmonitored(rep), unmonitored(prevRep))
+			}
+			if nsPerCall(rep) >= nsPerCall(prevRep) {
+				t.Errorf("%s: %.1f virtual ns/call, not below the previous level's %.1f",
+					lv.Label, nsPerCall(rep), nsPerCall(prevRep))
+			}
+		}
+		prevRep = rep
 	}
+}
+
+func unmonitored(rep *core.Report) uint64 {
+	var n uint64
+	for _, s := range rep.IPMon {
+		n += s.Unmonitored
+	}
+	return n
+}
+
+// nsPerCall is the run's virtual makespan per intercepted call.
+func nsPerCall(rep *core.Report) float64 {
+	return float64(rep.Duration) / float64(rep.Broker.Intercepted)
 }
 
 func TestServerBenchNative(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 )
 
 // Gen is one open-loop generation campaign against a front address.
-// Run/RunSurge and bench.RunMConn all lower onto it.
+// Run and RunSurge both lower onto it.
 type Gen struct {
 	// Net / Addr locate the front listener (fleet.FrontNetwork/FrontAddr).
 	Net  *vnet.Network
@@ -31,7 +31,7 @@ type Gen struct {
 	// Arrivals is the launch schedule: one sorted host-time offset from
 	// campaign start per connection. All-zero offsets launch everything
 	// at once (the fixed-capacity chaos Run); paced offsets shape an
-	// offered-load rate (surge and mconn campaigns).
+	// offered-load rate (surge campaigns).
 	Arrivals []time.Duration
 	// Loops is the event-loop pool size (default 4). Total goroutine
 	// cost of the campaign is exactly Loops.
@@ -417,6 +417,5 @@ func (gl *genLoop) finish(gc *genConn) {
 	// Requests never written because the conn died early count as lost
 	// too — the client accepted them into its send loop.
 	r.Lost += load.RequestsPerConn - gc.sent
-	r.Elapsed = time.Since(gc.connStart)
 	gl.g.emit(r)
 }

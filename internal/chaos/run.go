@@ -84,10 +84,6 @@ type ConnReport struct {
 	// for the autoscaler to add capacity. Zero when no response ever
 	// completed.
 	Admit time.Duration
-	// Elapsed is the host time from connect start to the connection's
-	// completion (all responses in, error, or timeout) — the response
-	// latency figure the mconn bench quantiles.
-	Elapsed time.Duration
 }
 
 // Run executes plan against f under load and audits the result. The

@@ -87,11 +87,13 @@ func TestStatsConsistencyUnderChaos(t *testing.T) {
 		}
 	}()
 
-	// The chaos run: kill every shard in turn under open-loop load.
+	// The chaos run: kill every shard in turn under open-loop load. An
+	// injected divergence fires on the shard's next request, so the load
+	// (~128 x 3ms per connection) must outlast the last kill at 290ms.
 	plan := KillEachShard(shards, 50*time.Millisecond, 120*time.Millisecond)
 	rep := Run(f, plan, Load{
 		Conns:           2 * shards,
-		RequestsPerConn: 64,
+		RequestsPerConn: 128,
 		Window:          4,
 		Gap:             3 * time.Millisecond,
 	})

@@ -172,6 +172,66 @@ func TestPipelineTamperEquivalence(t *testing.T) {
 	}
 }
 
+// TestPipelineCountersByMaxLag tells the two RB protocols apart by their
+// deterministic counters on a dense batchable workload (4 threads x 120
+// getpid): at MaxLag 0 every unmonitored call probes wake suppression
+// twice (reserve + complete) and nothing is group-committed; at MaxLag 64
+// most calls are batched and the probe rate collapses by the group size.
+// Host time and issued wakes are scheduling figures and not asserted.
+func TestPipelineCountersByMaxLag(t *testing.T) {
+	const threads, calls = 4, 120
+	prog := func(env *libc.Env) {
+		work := func(env *libc.Env) {
+			for i := 0; i < calls; i++ {
+				env.Getpid()
+			}
+		}
+		var hs []*libc.ThreadHandle
+		for j := 1; j < threads; j++ {
+			hs = append(hs, env.Spawn(work))
+		}
+		work(env)
+		for _, h := range hs {
+			h.Join()
+		}
+	}
+	run := func(maxLag int) (*core.Report, float64) {
+		rep, err := core.RunProgram(core.Config{
+			Mode: core.ModeReMon, Replicas: 2, Policy: policy.SocketRWLevel,
+			Partitions: threads, Seed: 9, MaxLag: maxLag,
+		}, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Verdict.Diverged {
+			t.Fatalf("MaxLag=%d diverged: %s", maxLag, rep.Verdict.Reason)
+		}
+		unmon := rep.IPMon[0].Unmonitored
+		if unmon < threads*calls {
+			t.Fatalf("MaxLag=%d: %d unmonitored calls, want >= %d", maxLag, unmon, threads*calls)
+		}
+		return rep, float64(rep.RB.WakeChecks) / float64(unmon)
+	}
+
+	lockstep, lockstepChecks := run(0)
+	if rb := lockstep.RB; rb.Flushes != 0 || rb.Batched != 0 || rb.Flips != 0 {
+		t.Fatalf("MaxLag 0 ran the pipeline: %+v", rb)
+	}
+	if lockstepChecks < 1.9 {
+		t.Fatalf("MaxLag 0: %.3f wake checks/call, want ~2 (reserve + complete)", lockstepChecks)
+	}
+	piped, pipedChecks := run(64)
+	t.Logf("wake checks/call: MaxLag 0 %.3f, MaxLag 64 %.3f (batched %d, flushes %d)",
+		lockstepChecks, pipedChecks, piped.RB.Batched, piped.RB.Flushes)
+	if piped.RB.Batched == 0 || piped.RB.Flushes == 0 {
+		t.Fatalf("MaxLag 64 never group-committed: %+v", piped.RB)
+	}
+	if pipedChecks > lockstepChecks/4 {
+		t.Fatalf("MaxLag 64: %.3f wake checks/call, want at least 4x below MaxLag 0's %.3f",
+			pipedChecks, lockstepChecks)
+	}
+}
+
 // TestPipelineLiveLagReload: SetMaxLag adjusts the window mid-traffic;
 // a legacy (MaxLag 0) instance refuses, keeping the protocol fixed.
 func TestPipelineLiveLagReload(t *testing.T) {

@@ -1,9 +1,9 @@
 // The vnet-level client driver: request/response load generated directly
 // on the fabric, one goroutine per connection, with per-connection
-// outcomes keyed by the client's ephemeral address. Test, attack and
-// bench harnesses use it when they need to attribute every connection's
-// fate to the shard the balancer chose for it (Fleet.RouteOf); the
-// heavier native-process load generator lives in workload.RunFleetClients.
+// outcomes keyed by the client's ephemeral address. Tests, the attack
+// suite and the examples use it when they need to attribute every
+// connection's fate to the shard the balancer chose for it
+// (Fleet.RouteOf); open-loop load at scale runs on chaos.Gen.
 package fleet
 
 import (

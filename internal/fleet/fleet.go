@@ -449,7 +449,6 @@ type verdictEvent struct {
 type Fleet struct {
 	cfg      Config
 	frontNet *vnet.Network
-	frontK   *vkernel.Kernel
 	lis      *vnet.Listener
 
 	// poolMu guards the shards slice itself (append by AddShard). The
@@ -557,7 +556,6 @@ func New(cfg Config) (*Fleet, error) {
 	for i := range f.routes {
 		f.routes[i].m = map[string]routeEntry{}
 	}
-	f.frontK = vkernel.New(f.frontNet)
 	lis, err := f.frontNet.Listen(cfg.FrontAddr, 1024)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: binding balancer %s: %w", cfg.FrontAddr, err)
@@ -591,10 +589,6 @@ func New(cfg Config) (*Fleet, error) {
 	go f.supervise()
 	return f, nil
 }
-
-// FrontKernel exposes the front-side kernel so native client load
-// (workload.RunFleetClients) can share the balancer's network.
-func (f *Fleet) FrontKernel() *vkernel.Kernel { return f.frontK }
 
 // FrontNetwork exposes the front network for vnet-level clients.
 func (f *Fleet) FrontNetwork() *vnet.Network { return f.frontNet }

@@ -110,6 +110,12 @@ func (e *Env) Alloc(n int) mem.Addr {
 			size = uint64(need)
 		}
 		r := e.sys(vkernel.SysMmap, 0, size, 0x3, vkernel.MapAnonymous|vkernel.MapPrivate, 0, 0)
+		if r.Errno == vkernel.EPERM {
+			// The kernel's mmap never returns EPERM; only the monitor
+			// does, when it has halted the replica set — possibly before
+			// this thread is marked exited.
+			panic(ErrKilled)
+		}
 		if !r.Ok() {
 			panic(fmt.Sprintf("libc: mmap arena: %v", r.Errno))
 		}
@@ -483,11 +489,21 @@ func (e *Env) NewMutex() *Mutex {
 // divergence §2.3's agent exists to prevent. Programs that want futex
 // syscall pressure (the Table 1 conditional path) emit it explicitly with
 // FutexPing.
+//
+// The master records the acquisition after it happens, so the log holds
+// the order threads actually owned the lock. Recording before acquiring
+// logs the order threads *tried*, and a slave replaying that order can
+// grant the lock to a thread whose unlock the log places behind another
+// thread's: both then wait forever.
 func (m *Mutex) Lock(e *Env) {
-	if e.Hooks.Agent != nil {
-		e.Hooks.Agent.Sync(e.T, e.LTID, m.id, rr.OpLock)
+	a := e.Hooks.Agent
+	if a != nil && !a.Master() {
+		a.Sync(e.T, e.LTID, m.id, rr.OpLock)
 	}
 	m.mu.Lock()
+	if a != nil && a.Master() {
+		a.Sync(e.T, e.LTID, m.id, rr.OpLock)
+	}
 }
 
 // FutexPing issues one deterministic futex syscall against the mutex's

@@ -257,6 +257,25 @@ func TestKilledThreadPanicsErrKilled(t *testing.T) {
 	e.Getpid()
 }
 
+// haltedMonitor rejects every call with EPERM, as GHUMVEE does once it has
+// halted the replica set but before the thread is marked exited.
+type haltedMonitor struct{}
+
+func (haltedMonitor) Intercept(*vkernel.Thread, *vkernel.Call, func(*vkernel.Call) vkernel.Result) vkernel.Result {
+	return vkernel.Result{Errno: vkernel.EPERM}
+}
+
+func TestArenaMmapDeniedByHaltedMonitorPanicsErrKilled(t *testing.T) {
+	e := newEnv(t)
+	e.T.Proc.Kernel.SetInterceptor(haltedMonitor{})
+	defer func() {
+		if r := recover(); r != ErrKilled {
+			t.Fatalf("recovered %v, want ErrKilled", r)
+		}
+	}()
+	e.Alloc(16)
+}
+
 func TestSpawnWithoutHooksPanics(t *testing.T) {
 	e := newEnv(t)
 	defer func() {

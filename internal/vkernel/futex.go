@@ -54,6 +54,13 @@ func (ft *futexTable) keyFor(p *Process, addr mem.Addr) (futexKey, Errno) {
 // word still holds val. The waiter's clock syncs to the waker's publish
 // time — the virtual-time handoff that makes master->slave replication
 // latency visible.
+//
+// The word is loaded and compared while holding futex.mu, as Linux does
+// under its hash-bucket lock: a waker that stores the word and then finds
+// no waiter under the same lock (WaitingOn, the §3.7 wake suppression) can
+// therefore never slip between this check and the enqueue. Lock order is
+// futex.mu, then the address-space lock Mem.Read takes; no path holds an
+// address-space lock while taking futex.mu.
 func (k *Kernel) sysFutex(t *Thread, c *Call) Result {
 	addr := mem.Addr(c.Arg(0))
 	op := int(c.Arg(1))
@@ -65,10 +72,11 @@ func (k *Kernel) sysFutex(t *Thread, c *Call) Result {
 	switch op {
 	case FutexWait:
 		var word [4]byte
+		k.futex.mu.Lock()
 		if err := t.Proc.Mem.Read(addr, word[:]); err != nil {
+			k.futex.mu.Unlock()
 			return Result{Errno: EFAULT}
 		}
-		k.futex.mu.Lock()
 		if binary.LittleEndian.Uint32(word[:]) != val {
 			k.futex.mu.Unlock()
 			return Result{Errno: EAGAIN}

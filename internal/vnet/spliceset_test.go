@@ -212,12 +212,17 @@ func TestSpliceSetManyConnsZeroLoss(t *testing.T) {
 					if err == ErrWouldBlock {
 						break
 					}
+					// A finished server leaves the poller: edge-triggered
+					// delivery may still report it, and counting its EOF
+					// twice would end the echo loop early.
 					if err != nil {
+						p.RemoveConn(srv)
 						live--
 						break
 					}
 					if data == nil {
 						srv.CloseWrite()
+						p.RemoveConn(srv)
 						live--
 						break
 					}

@@ -195,56 +195,6 @@ func TestClientsAgainstTrivialServer(t *testing.T) {
 	}
 }
 
-// TestFleetClientsAgainstTrivialServer: the open worker pool drives its
-// whole connection stream, free-running, and accounts every round trip.
-func TestFleetClientsAgainstTrivialServer(t *testing.T) {
-	net := vnet.New(vnet.Loopback)
-	k := vkernel.New(net)
-	go func() {
-		p := k.NewProcess("srv", 1, 0)
-		th := p.NewThread(nil)
-		env := newLibcEnv(th)
-		lfd, _ := env.Socket()
-		env.Bind(lfd, "fleetecho:1")
-		env.Listen(lfd, 64)
-		for {
-			conn, errno := env.Accept(lfd)
-			if errno != 0 {
-				return
-			}
-			go func(c int) {
-				we := newLibcEnv(p.NewThread(th))
-				buf := make([]byte, 256)
-				for {
-					n, errno := we.Recv(c, buf)
-					if errno != 0 || n == 0 {
-						we.Close(c)
-						return
-					}
-					we.Send(c, make([]byte, 64))
-				}
-			}(conn)
-		}
-	}()
-	cfg := FleetClientConfig{
-		Addr: "fleetecho:1", Workers: 4, ConnsPerWorker: 3, RequestsPerConn: 5,
-		RequestSize: 32, ResponseSize: 64, ThinkTime: model.Microsecond,
-	}
-	if cfg.TotalConns() != 12 {
-		t.Fatalf("TotalConns = %d", cfg.TotalConns())
-	}
-	res := RunFleetClients(k, cfg, 3)
-	if res.Errors != 0 || res.ConnsErr != 0 {
-		t.Fatalf("fleet clients: %+v", res)
-	}
-	if res.Completed != 4*3*5 || res.ConnsOK != 12 {
-		t.Fatalf("fleet clients: %+v", res)
-	}
-	if res.Duration <= 0 {
-		t.Fatal("no client time measured")
-	}
-}
-
 func TestClientConfigTotals(t *testing.T) {
 	c := ClientConfig{Connections: 3, RequestsPerConn: 7}
 	if c.TotalRequests() != 21 {
