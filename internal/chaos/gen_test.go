@@ -16,6 +16,19 @@ import (
 // configuration (generator loops, splice loops, shards), never of the
 // connection count: 4x the connections costs at most a constant more.
 func TestGenZeroLossFlatGoroutines(t *testing.T) {
+	flatGoroutineCampaigns(t, false)
+}
+
+// TestGenKillEachShardHandoffFlatGoroutines: the same campaigns with
+// live handoff armed on the polled data plane and every shard killed
+// mid-campaign. Each kill freezes the victim's splices on their event
+// loops and hands them off, so the run still loses nothing, cuts
+// nothing, and stays inside the same configuration pin.
+func TestGenKillEachShardHandoffFlatGoroutines(t *testing.T) {
+	flatGoroutineCampaigns(t, true)
+}
+
+func flatGoroutineCampaigns(t *testing.T, kill bool) {
 	const (
 		shards, replicas = 2, 2
 		loops, splice    = 4, 2
@@ -30,6 +43,7 @@ func TestGenZeroLossFlatGoroutines(t *testing.T) {
 		RequestSize:     32,
 		ResponseSize:    respSize,
 		SpliceLoops:     splice,
+		Handoff:         kill,
 		DisableRouteLog: true,
 		LockstepTimeout: 10 * time.Second,
 	})
@@ -41,6 +55,7 @@ func TestGenZeroLossFlatGoroutines(t *testing.T) {
 	// machinery, the sampler, with headroom — but less than the two
 	// goroutines per connection a per-connection client would add.
 	pin := base + loops + 2*splice + shards*(6+4*replicas) + 16
+	kills := 0
 
 	campaign := func(conns int) (highWater int) {
 		arrivals := make([]time.Duration, conns)
@@ -92,9 +107,30 @@ func TestGenZeroLossFlatGoroutines(t *testing.T) {
 				}
 			}
 		}()
+		var injected, drains atomic.Int64
+		if kill {
+			// Every shard killed in turn inside the arrival window, so
+			// each kill lands on live splices.
+			span := arrivals[len(arrivals)-1]
+			plan := KillEachShard(shards, span/5, span/3)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				runEvents(f, plan, time.Now(), &injected, &drains)
+			}()
+		}
 		g.Run()
 		close(stop)
 		wg.Wait()
+		if kill {
+			kills += int(injected.Load())
+			if int(injected.Load()) != shards {
+				t.Errorf("%d conns: injected %d kills, want %d", conns, injected.Load(), shards)
+			}
+			if !f.WaitRecoveries(kills, 30*time.Second) {
+				t.Errorf("%d conns: %d kills, %d recoveries", conns, kills, f.Stats().Recoveries)
+			}
+		}
 
 		if launched != conns || sent != conns*reqsPerConn {
 			t.Errorf("%d conns: %d completed, %d requests sent, want %d", conns, launched, sent, conns*reqsPerConn)
@@ -118,5 +154,15 @@ func TestGenZeroLossFlatGoroutines(t *testing.T) {
 	large := campaign(1600)
 	if grow := large - small; grow > 16 {
 		t.Errorf("goroutine high-water grew by %d from 400 to 1600 conns; want <= 16", grow)
+	}
+	if kill {
+		st := f.Stats()
+		if st.Handoffs == 0 {
+			t.Error("no connections were handed off — the kills missed all live splices")
+		}
+		if st.Failovers != 0 {
+			t.Errorf("%d connections degraded to cuts", st.Failovers)
+		}
+		t.Logf("kills %d, handoffs %d, replayed %d B", kills, st.Handoffs, st.ReplayedBytes)
 	}
 }

@@ -1,7 +1,7 @@
-// The balancer control plane: the accept loop and the shard-pick
-// policies. The data plane is vnet's splice forwarder — the balancer
-// never copies request bytes itself beyond the splice pumps, and it
-// carries virtual arrival stamps through untouched.
+// The balancer control plane: the accept loop, the admit workers and
+// the shard-pick policies. The data plane is vnet's SpliceSet — the
+// balancer never copies request bytes itself, and the splice event
+// loops carry virtual arrival stamps through untouched.
 //
 // Admission is a lock-free fast path. The Serving set lives in an
 // immutable, atomically-swapped snapshot (servingSnapshot, republished
@@ -35,43 +35,24 @@ type backendTarget struct {
 	mvee *core.MVEE
 }
 
-// acceptLoop takes front-end connections and dispatches each toward a
-// healthy shard. In polled mode (SpliceLoops>0) accepted conns queue to
-// the fixed admit-worker pool; otherwise the (possibly blocking)
-// backend connect runs on a per-connection goroutine so one shard's
-// full accept queue never head-of-line blocks connections bound for the
-// other shards.
+// acceptLoop takes front-end connections and queues each to the fixed
+// admit-worker pool, which picks a shard, connects the backend leg and
+// hands the pair to the SpliceSet's event loops.
 func (f *Fleet) acceptLoop() {
 	defer f.wg.Done()
-	if f.admitCh != nil {
-		defer close(f.admitCh)
-	}
+	defer close(f.admitCh)
 	for {
 		conn, at, err := f.lis.Accept(true)
 		if err != nil {
 			return // listener closed: fleet shutting down
 		}
-		if f.admitCh != nil {
-			f.admitCh <- admitReq{conn: conn, at: at}
-			continue
-		}
-		tgt, err := f.pickShard(conn.RemoteAddr())
-		if err != nil {
-			f.refuse(conn, err)
-			continue
-		}
-		f.recordRoute(conn.RemoteAddr(), tgt)
-		// Deliberately not in f.wg: Close cuts in-flight splices only
-		// after wg.Wait, so a tracked splice goroutine would deadlock it.
-		// The goroutine cannot leak: either track registers the splice
-		// (any later sweep aborts it) or track aborts it on the spot.
-		go f.splice(conn, at, tgt)
+		f.admitCh <- admitReq{conn: conn, at: at}
 	}
 }
 
-// admitWorker drains the accept queue in polled mode: pick, backend
-// connect, polled splice. A fixed pool of these plus the SpliceSet's
-// event loops is the fleet's whole per-connection goroutine budget.
+// admitWorker drains the accept queue: pick, backend connect, splice. A
+// fixed pool of these plus the SpliceSet's event loops is the fleet's
+// whole per-connection goroutine budget.
 func (f *Fleet) admitWorker() {
 	defer f.wg.Done()
 	for req := range f.admitCh {
@@ -79,18 +60,23 @@ func (f *Fleet) admitWorker() {
 	}
 }
 
-// admitOne wires one accepted connection onto a polled splice. The
-// splice is created inert, registered with the shard, then armed — so
-// its completion callback (untrack) can never run before track, however
-// short the connection's life.
+// admitOne wires one accepted connection onto a splice. The splice is
+// created inert, registered with the shard, then armed — so its
+// completion callback (untrackDone) can never run before the
+// registration, however short the connection's life. Address rewriting
+// happens by construction: the shard sees a connection from the
+// balancer's ephemeral endpoint, the client sees the balancer's front
+// address. The backend connect reuses the front-side establishment time
+// so virtual time is continuous across the hop.
 //
-// A pick can go stale in the claim-to-track window: the backend connect
-// may sit in a loaded shard's accept queue while a scale-down retires
-// that shard. The inert splice has moved no client bytes yet, so a
-// stale track re-routes the connection — discard the splice, close the
-// backend leg, pick again — instead of cutting it. Each retry needs a
-// fresh lifecycle transition to fail again, and pickShard itself
-// refuses when the pool is gone, so the loop terminates.
+// A pick can go stale in the claim-to-track window: a quarantine, drain
+// or scale-down may take the shard while the backend connect sits in
+// its accept queue, or close its listener before the connect lands. No
+// client byte has moved yet, so a stale pick re-routes the connection —
+// discard the inert splice, close the backend leg, pick again — instead
+// of cutting it. Each retry needs a fresh lifecycle transition to fail
+// again, and pickShard itself refuses when the pool is gone, so the
+// loop terminates.
 func (f *Fleet) admitOne(conn *vnet.Conn, at model.Duration) {
 	for {
 		tgt, err := f.pickShard(conn.RemoteAddr())
@@ -102,13 +88,27 @@ func (f *Fleet) admitOne(conn *vnet.Conn, at model.Duration) {
 		back, _, err := tgt.net.Connect(tgt.s.addr, at)
 		if err != nil {
 			tgt.s.pendingDone()
+			if !tgt.s.admits(tgt.gen) {
+				continue // the shard left the pool mid-connect: re-route
+			}
 			f.refuse(conn, err)
 			return
 		}
-		owner := tgt.s
-		sp := f.spliceSet.NewSplice(conn, back, func(sp *vnet.Splice) { owner.untrack(sp) })
-		if owner.track(sp, tgt.gen, false) {
+		sp := f.spliceSet.NewSplice(conn, back, f.onSpliceDone)
+		if f.cfg.Handoff {
+			// Retain requests until their responses are delivered, so a
+			// shard death replays rather than drops them.
+			sp.EnableHandoff(f.cfg.RequestSize, f.cfg.ResponseSize)
+		}
+		// Arm inside track's critical section, so a lifecycle sweep that
+		// takes the shard's splice set never sees an unarmed splice.
+		tgt.s.mu.Lock()
+		tracked := tgt.s.trackLocked(sp, tgt.gen)
+		if tracked {
 			f.spliceSet.Start(sp)
+		}
+		tgt.s.mu.Unlock()
+		if tracked {
 			return
 		}
 		f.spliceSet.Discard(sp)
@@ -116,35 +116,16 @@ func (f *Fleet) admitOne(conn *vnet.Conn, at model.Duration) {
 	}
 }
 
-// splice opens the backend leg and wires the forwarder for one accepted
-// connection — the per-connection-goroutine path (Handoff-capable).
-// Address rewriting happens by construction: the shard sees a
-// connection from the balancer's ephemeral endpoint, the client sees
-// the balancer's front address. The backend connect reuses the
-// front-side establishment time so virtual time is continuous across the
-// hop.
-func (f *Fleet) splice(conn *vnet.Conn, at model.Duration, tgt backendTarget) {
-	back, _, err := tgt.net.Connect(tgt.s.addr, at)
-	if err != nil {
-		tgt.s.pendingDone()
-		f.refuse(conn, err)
-		return
+// untrackDone is every splice's completion callback (bound once as
+// f.onSpliceDone): it untracks the splice from whichever shard owns it
+// now — the admitting shard, or the successor a handoff moved it to. A
+// splice a lifecycle sweep already took is owned by no shard.
+func (f *Fleet) untrackDone(sp *vnet.Splice) {
+	for _, s := range f.pool() {
+		if s.untrack(sp) {
+			return
+		}
 	}
-	var sp *vnet.Splice
-	if f.cfg.Handoff {
-		// Migration-capable forwarder: retains requests until their
-		// responses are delivered, so a shard death replays rather than
-		// drops them.
-		sp = vnet.NewHandoffSplice(conn, back, f.cfg.RequestSize, f.cfg.ResponseSize)
-	} else {
-		sp = vnet.NewSplice(conn, back)
-	}
-	if !tgt.s.track(sp, tgt.gen, f.cfg.Handoff) {
-		sp.Abort() // shard was quarantined (or respawned) since the pick
-		return
-	}
-	<-sp.Done()
-	tgt.s.untrack(sp)
 }
 
 // pendingDone retires a pick's pending slot when its splice is abandoned
@@ -395,30 +376,15 @@ func fnv1a(addr string, salt uint64) uint64 {
 	return h
 }
 
-// track registers an in-flight splice with the shard; if the shard was
-// quarantined or respawned into a new generation in the pick-to-track
-// window, the splice is cut immediately and track reports false. A
-// Draining shard still admits it: the pick happened while Serving, and
-// drain semantics let already-routed connections finish within the
-// grace.
-//
-// With handoff armed, a Quarantined shard of the *same generation* also
-// admits: the supervisor is waiting for exactly this pick to resolve
-// (waitPendingDrained) before taking the splice set, so registering here
-// puts the connection on the migration manifest instead of cutting it.
-// A generation mismatch still rejects — that shard's handoff episode is
-// over and nobody would ever migrate the splice.
-func (s *shard) track(sp *vnet.Splice, gen int, handoff bool) bool {
-	s.mu.Lock()
-	st := s.state.Load()
-	admit := int64(gen) == s.gen.Load() &&
-		(st == Serving || st == Draining || (handoff && st == Quarantined))
-	if !admit {
-		// The pending slot rolls back here; what happens to the splice is
-		// the caller's call — the polled path re-routes it, the pump and
-		// migration paths abort it.
+// trackLocked registers an in-flight splice with the shard (s.mu held);
+// if the shard left the pool (quarantined, retired, respawned into a new
+// generation) in the pick-to-track window, it rolls the pick's pending
+// slot back and reports false. A rejected splice is never lost:
+// admission re-routes the inert splice, migration retries the frozen
+// one.
+func (s *shard) trackLocked(sp *vnet.Splice, gen int) bool {
+	if !s.admits(gen) {
 		s.occ.Add(-occPendOne)
-		s.mu.Unlock()
 		return false
 	}
 	s.splices[sp] = struct{}{}
@@ -426,20 +392,29 @@ func (s *shard) track(sp *vnet.Splice, gen int, handoff bool) bool {
 	// The pick's pending slot converts into a tracked connection in one
 	// atomic step, so the occupancy never dips to zero mid-conversion.
 	s.occ.Add(1 - occPendOne)
-	s.mu.Unlock()
 	return true
 }
 
-// untrack drops a finished splice (a no-op if quarantine already swept
-// it — takeSplicesLocked removed its occupancy along with the map
-// entry).
-func (s *shard) untrack(sp *vnet.Splice) {
+// admits reports whether s is still in the pool at generation gen —
+// Serving, or Draining (the pick happened while Serving, and drain
+// semantics let already-routed connections finish within the grace).
+func (s *shard) admits(gen int) bool {
+	st := s.state.Load()
+	return int64(gen) == s.gen.Load() && (st == Serving || st == Draining)
+}
+
+// untrack drops a finished splice and reports whether s owned it (a
+// splice quarantine already swept is owned by nobody —
+// takeSplicesLocked removed its occupancy along with the map entry).
+func (s *shard) untrack(sp *vnet.Splice) bool {
 	s.mu.Lock()
-	if _, ok := s.splices[sp]; ok {
-		delete(s.splices, sp)
-		s.occ.Add(-1)
+	defer s.mu.Unlock()
+	if _, ok := s.splices[sp]; !ok {
+		return false
 	}
-	s.mu.Unlock()
+	delete(s.splices, sp)
+	s.occ.Add(-1)
+	return true
 }
 
 // recordRoute remembers clientAddr -> shard for test and attack

@@ -559,10 +559,17 @@ func (c *Controller) round() {
 		if !ok {
 			continue
 		}
-		// Step under c.mu: ShardKnobs reads the tuner position from other
-		// goroutines while the loop runs.
+		// Step and log under one c.mu hold: ShardKnobs and Events read
+		// from other goroutines, and a reader that sees the new tuner
+		// position must also see the event that explains it.
 		c.mu.Lock()
 		dec := loop.tuner.Step(sig)
+		if dec.Changed || sig.Diverged {
+			c.events = append(c.events, TuneEvent{
+				Shard: idx, Gen: gen, At: time.Now(),
+				Phase: dec.Phase, Knobs: dec.Knobs, Reason: dec.Reason,
+			})
+		}
 		c.mu.Unlock()
 		if sig.Diverged && c.resets != nil {
 			c.resets.Inc()
@@ -571,14 +578,6 @@ func (c *Controller) round() {
 			c.actuate(idx, dec)
 		}
 		c.maybeRotateForLag(idx, loop)
-		if dec.Changed || sig.Diverged {
-			c.mu.Lock()
-			c.events = append(c.events, TuneEvent{
-				Shard: idx, Gen: gen, At: time.Now(),
-				Phase: dec.Phase, Knobs: dec.Knobs, Reason: dec.Reason,
-			})
-			c.mu.Unlock()
-		}
 	}
 }
 

@@ -36,6 +36,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,8 +222,8 @@ type Config struct {
 	// drain-expired shard's in-flight connections are frozen, their
 	// queued responses harvested, their unacknowledged requests replayed
 	// to a successor shard, and the front conns re-spliced mid-flight —
-	// instead of being cut. Default false: the PR 2 cut-splice behaviour
-	// is reproduced exactly.
+	// instead of being cut. Default false: in-flight connections of a
+	// shard leaving the pool are cut.
 	Handoff bool
 	// HandoffDeadline bounds one shard's whole freeze+migrate episode
 	// (host time, default 2s). Splices that miss it degrade to the old
@@ -242,13 +243,10 @@ type Config struct {
 	// saturated, admission sheds with ErrOverloaded. 0 = unlimited.
 	MaxConnsPerShard int
 
-	// SpliceLoops selects the polled data plane: with a positive value,
-	// a vnet.SpliceSet of this many event loops forwards every
-	// connection and a fixed admit-worker pool replaces the
-	// per-connection goroutines — the million-connection engine's
-	// O(cores+shards) goroutine budget. 0 keeps the per-connection pump
-	// goroutines (and is required when Handoff is armed: live migration
-	// needs the freeze/replay-capable pump flavour).
+	// SpliceLoops sizes the data plane: a vnet.SpliceSet of this many
+	// event loops forwards every connection, and a fixed admit-worker
+	// pool feeds it — the million-connection engine's O(cores+shards)
+	// goroutine budget. 0 derives the count from GOMAXPROCS.
 	SpliceLoops int
 	// DisableRouteLog turns off the clientAddr->shard route table. Test
 	// and attack harnesses need it (RouteOf); a million-connection
@@ -313,6 +311,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdmitBackoff <= 0 {
 		c.AdmitBackoff = 500 * time.Microsecond
+	}
+	if c.SpliceLoops <= 0 {
+		c.SpliceLoops = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -472,11 +473,13 @@ type Fleet struct {
 	serving atomic.Pointer[servingSnapshot]
 	pubMu   sync.Mutex
 
-	// spliceSet and admitCh are non-nil in polled mode (SpliceLoops>0):
-	// accepted connections flow through admitCh to a fixed worker pool,
-	// and the SpliceSet's event loops forward them.
-	spliceSet *vnet.SpliceSet
-	admitCh   chan admitReq
+	// Accepted connections flow through admitCh to a fixed worker pool,
+	// and the SpliceSet's event loops forward them. onSpliceDone is
+	// untrackDone bound once, so admission allocates no callback per
+	// connection.
+	spliceSet    *vnet.SpliceSet
+	admitCh      chan admitReq
+	onSpliceDone func(*vnet.Splice)
 
 	// admitWaits counts admission backoff sleeps (pickShard retries) —
 	// the pre-shed pressure signal the autoscaler watches: it moves
@@ -542,9 +545,6 @@ type admitReq struct {
 // Close the fleet.
 func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
-	if cfg.SpliceLoops > 0 && cfg.Handoff {
-		return nil, fmt.Errorf("fleet: SpliceLoops and Handoff are incompatible: live migration needs the freeze-capable pump splices")
-	}
 	f := &Fleet{
 		cfg:          cfg,
 		frontNet:     vnet.New(cfg.FrontLink),
@@ -571,17 +571,13 @@ func New(cfg Config) (*Fleet, error) {
 		f.setState(s, Serving, "boot")
 	}
 
-	if cfg.SpliceLoops > 0 {
-		f.spliceSet = vnet.NewSpliceSet(cfg.SpliceLoops)
-		f.admitCh = make(chan admitReq, 1024)
-		workers := cfg.SpliceLoops
-		if workers < 2 {
-			workers = 2
-		}
-		f.wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go f.admitWorker()
-		}
+	f.spliceSet = vnet.NewSpliceSet(cfg.SpliceLoops)
+	f.admitCh = make(chan admitReq, 1024)
+	f.onSpliceDone = f.untrackDone
+	workers := max(cfg.SpliceLoops, 2)
+	f.wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go f.admitWorker()
 	}
 
 	f.wg.Add(2)
@@ -605,12 +601,14 @@ func (f *Fleet) RequestShape() (reqSize, respSize int) {
 // pool snapshots the shard slice under the pool lock. The slice is
 // append-only (removal retires in place), so the snapshot never goes
 // stale structurally — an iterator may see a shard appended after the
-// snapshot one round late, never a dangling entry. Per-shard state still
+// snapshot one round late, never a dangling entry — and sharing its
+// backing array is safe: appends only write past the snapshot's length,
+// which the capped capacity keeps out of reach. Per-shard state still
 // needs each s.mu.
 func (f *Fleet) pool() []*shard {
 	f.poolMu.RLock()
 	defer f.poolMu.RUnlock()
-	return append([]*shard(nil), f.shards...)
+	return f.shards[:len(f.shards):len(f.shards)]
 }
 
 // shardAt resolves a shard index against the live pool.
@@ -781,10 +779,10 @@ func (f *Fleet) handleDivergence(ev verdictEvent) {
 	s.lastVerdict = ev.v
 	mvee, runDone := s.mvee, s.runDone
 	s.mvee = nil
-	var splices map[*vnet.Splice]struct{}
-	if !f.cfg.Handoff {
-		splices = s.takeSplicesLocked()
-	}
+	// Take the splice set in the same critical section as the flip:
+	// track admits only Serving/Draining shards, so every pick that
+	// resolves later is rejected and re-routed, and the set is complete.
+	splices := s.takeSplicesLocked()
 	s.mu.Unlock()
 	quarantinedAt := time.Now()
 	f.record(s, ev.gen, from, Quarantined, "divergence: "+ev.v.Reason)
@@ -792,21 +790,13 @@ func (f *Fleet) handleDivergence(ev verdictEvent) {
 	var frozen []*vnet.Splice
 	deadline := quarantinedAt.Add(f.cfg.HandoffDeadline)
 	if f.cfg.Handoff {
-		// Handoff path: let in-flight picks resolve into tracked splices
-		// (track admits on the matching generation even under quarantine
-		// when handoff is armed), then freeze the complete set at segment
-		// boundaries. Splices that miss the freeze deadline degrade to the
-		// old cut.
-		f.waitPendingDrained(s)
-		s.mu.Lock()
-		splices = s.takeSplicesLocked()
-		s.mu.Unlock()
+		// Handoff path: freeze the set at segment boundaries; splices
+		// that miss the deadline degrade to the cut.
 		frozen = f.freezeSplices(splices, deadline)
 	} else {
-		// Cut path (Handoff=false, the PR 2 behaviour): the shard's
-		// replicas are dead or dying, so in-flight connections cannot
-		// complete — cut them so their clients fail fast instead of
-		// hanging.
+		// Cut path (Handoff=false): the shard's replicas are dead or
+		// dying, so in-flight connections cannot complete — cut them so
+		// their clients fail fast instead of hanging.
 		f.cutSplices(splices)
 	}
 
@@ -922,7 +912,7 @@ func (f *Fleet) DrainShard(idx int) error {
 	f.record(s, gen, Draining, Respawning, reason)
 	if f.cfg.Handoff {
 		// Freeze the stragglers before tearing the replica set down: a
-		// response the shard manages to emit while its pumps park still
+		// response the shard manages to emit while they are frozen still
 		// lands in the back conn's queue and is harvested by the handoff.
 		frozen = f.freezeSplices(splices, handoffDeadline)
 	} else {
@@ -1585,9 +1575,10 @@ func (f *Fleet) Close() {
 			mvee.Close()
 		}
 	}
+	// After the sweep every splice is aborted; closing the set lets its
+	// event loops drain the resulting events and exit. New may have
+	// failed before building it.
 	if f.spliceSet != nil {
-		// After the sweep every polled splice is aborted; closing the set
-		// lets its event loops drain the resulting events and exit.
 		f.spliceSet.Close()
 	}
 }

@@ -3,20 +3,21 @@
 // quarantine, or a drain whose grace expired) does not cut its in-flight
 // connections. Instead the supervisor:
 //
-//  1. waits for picked-but-untracked connections to resolve (the pending
-//     slots the balancer claimed before the state flip),
-//  2. freezes every splice at a segment boundary (vnet.Splice.Freeze),
+//  1. takes the shard's splice set in the same critical section as the
+//     state flip (admission re-routes every pick that resolves later),
+//  2. freezes every splice at a segment boundary (vnet.Splice.Freeze:
+//     the owning event loop stops draining it),
 //  3. waits for the replica set to unwind — after which the dead shard
 //     can provably never transmit again,
 //  4. harvests responses still queued in the victim's vnet, replays the
 //     unacknowledged request tail to a successor shard with original
-//     arrival stamps, and re-splices the front conn mid-flight
-//     (vnet.Splice.Handoff).
+//     arrival stamps, and re-splices the front conn mid-flight on the
+//     same event loop (vnet.Splice.Handoff).
 //
 // Graceful degradation: the whole episode runs against one host-time
-// deadline (Config.HandoffDeadline); any splice that cannot be frozen or
-// placed in time is cut exactly as the Handoff=false path would have —
-// bounded worst case, never a hang.
+// deadline (Config.HandoffDeadline); any splice that cannot be placed in
+// time is cut exactly as the Handoff=false path would have — bounded
+// worst case, never a hang.
 package fleet
 
 import (
@@ -25,26 +26,11 @@ import (
 	"remon/internal/vnet"
 )
 
-// waitPendingDrained waits (bounded by the backend connect budget) until
-// no picked-but-untracked connection is outstanding on s. Called after
-// the shard's state flip: the balancer claims no new pending slots on a
-// non-Serving shard, and every existing slot either converts into a
-// tracked splice (track admits on the matching generation even under
-// quarantine when handoff is armed) or dies with its failed connect — so
-// the splice set taken afterwards is complete.
-func (f *Fleet) waitPendingDrained(s *shard) {
-	deadline := time.Now().Add(f.cfg.BackendConnectWait + 100*time.Millisecond)
-	for {
-		if occPending(s.occ.Load()) == 0 || time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
 // freezeSplices quiesces a detached splice set at segment boundaries.
-// Splices that miss the deadline degrade to the old cut (accounted as
-// Failovers); the rest come back frozen, ready for Handoff.
+// Splices past the deadline degrade to the cut (accounted as
+// Failovers); a splice that already finished or was aborted has nothing
+// in flight and is dropped; the rest come back frozen, ready for
+// Handoff.
 func (f *Fleet) freezeSplices(splices map[*vnet.Splice]struct{}, deadline time.Time) []*vnet.Splice {
 	if len(splices) == 0 {
 		return nil
@@ -52,13 +38,14 @@ func (f *Fleet) freezeSplices(splices map[*vnet.Splice]struct{}, deadline time.T
 	frozen := make([]*vnet.Splice, 0, len(splices))
 	cut := 0
 	for sp := range splices {
-		budget := time.Until(deadline)
-		if budget <= 0 || !sp.Freeze(budget) {
+		if time.Now().After(deadline) {
 			sp.Abort()
 			cut++
 			continue
 		}
-		frozen = append(frozen, sp)
+		if sp.Freeze() {
+			frozen = append(frozen, sp)
+		}
 	}
 	if cut > 0 {
 		f.mu.Lock()
@@ -70,15 +57,18 @@ func (f *Fleet) freezeSplices(splices map[*vnet.Splice]struct{}, deadline time.T
 
 // migrateSplices places frozen splices onto successor shards and resumes
 // them. Returns the splices that could not be placed because admission
-// refused (no Serving shard, or all saturated) — the caller retries them
-// after the victim respawns, and cuts whatever still remains. Individual
-// failures (connect error, handoff error, lost track race) degrade to a
-// cut on the spot.
+// refused (no Serving shard, or all saturated) or the successor left the
+// pool between pick and track — the caller retries them later, and
+// cuts whatever still remains. Other failures (connect error to a
+// successor still in the pool, handoff error) degrade to a cut on the
+// spot.
 //
-// The successor leg connects at the splice's last forwarded virtual
-// stamp, so the migrated stream's timeline stays continuous; the route
-// table is repointed so harnesses partitioning outcomes by shard see the
-// new home.
+// The splice is tracked on the successor before Handoff resumes it, so
+// its completion callback always finds its new owner. The successor leg
+// connects at the splice's last forwarded virtual stamp, so the
+// migrated stream's timeline stays continuous; the route table is
+// repointed so harnesses partitioning outcomes by shard see the new
+// home.
 func (f *Fleet) migrateSplices(frozen []*vnet.Splice, start, deadline time.Time) []*vnet.Splice {
 	if len(frozen) == 0 {
 		return nil
@@ -102,32 +92,31 @@ func (f *Fleet) migrateSplices(frozen []*vnet.Splice, start, deadline time.Time)
 		back, _, cerr := tgt.net.Connect(tgt.s.addr, sp.LastStamp())
 		if cerr != nil {
 			tgt.s.pendingDone()
+			if !tgt.s.admits(tgt.gen) {
+				left = append(left, sp) // the successor left the pool mid-connect
+				continue
+			}
 			sp.Abort()
 			cut++
+			continue
+		}
+		tgt.s.mu.Lock()
+		tracked := tgt.s.trackLocked(sp, tgt.gen)
+		tgt.s.mu.Unlock()
+		if !tracked {
+			back.Close()
+			left = append(left, sp)
 			continue
 		}
 		_, replayed, herr := sp.Handoff(back)
 		if herr != nil {
+			tgt.s.untrack(sp)
 			back.Close()
-			tgt.s.pendingDone()
-			sp.Abort()
-			cut++
-			continue
-		}
-		if !tgt.s.track(sp, tgt.gen, true) {
-			// The successor was itself claimed between pick and track.
 			sp.Abort()
 			cut++
 			continue
 		}
 		f.recordRoute(sp.ClientAddr(), tgt)
-		// The original splice goroutine still waits on Done to untrack
-		// from the old shard's (already swapped) map; the successor needs
-		// its own waiter.
-		go func(sp *vnet.Splice, owner *shard) {
-			<-sp.Done()
-			owner.untrack(sp)
-		}(sp, tgt.s)
 		lat := time.Since(start)
 		f.mu.Lock()
 		f.handoffs++

@@ -199,10 +199,13 @@ func (k *Kernel) waitReady(t *Thread, timeout int64, scan func() []readyEvent) [
 		if timeout == 0 {
 			return nil
 		}
+		// Read the generation before the liveness check: exit marks the
+		// thread and then notifies the hub, so a crash landing after the
+		// check moves the generation and WaitChange returns.
+		gen := k.Hub.Gen()
 		if t.Exited() {
 			return nil
 		}
-		gen := k.Hub.Gen()
 		if again := scan(); len(again) > 0 {
 			continue
 		}

@@ -81,6 +81,14 @@ func (k *Kernel) sysFutex(t *Thread, c *Call) Result {
 			k.futex.mu.Unlock()
 			return Result{Errno: EAGAIN}
 		}
+		// A thread crashed after its caller's last liveness check would
+		// otherwise sleep forever: its exit's wakeAll already ran. exit
+		// marks the thread before taking futex.mu for wakeAll, so this
+		// check under the lock sees either the mark or a later wakeAll.
+		if t.Exited() {
+			k.futex.mu.Unlock()
+			return Result{Errno: EINTR}
+		}
 		w := &futexWaiter{ch: make(chan struct{})}
 		k.futex.waiters[key] = append(k.futex.waiters[key], w)
 		k.futex.mu.Unlock()

@@ -55,3 +55,54 @@ func TestFutexStoreThenSuppressedWakeNeverSleeps(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashWakesBlockedWaiters crashes threads while they loop the way
+// the replication buffer and the shard servers wait — "while the thread
+// lives, FUTEX_WAIT" and "while the thread lives, epoll_wait" — on two
+// Ps, with the crash landing at a varying point of the loop. Every
+// waiter must return: the crash's futex wakeAll and hub notify can run
+// between a waiter's liveness check and its sleep, and a waiter that
+// then sleeps anyway never wakes (an MVEE teardown that hangs on Run).
+func TestCrashWakesBlockedWaiters(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	k := New(nil)
+	const rounds = 3000
+	for i := 0; i < rounds; i++ {
+		p := k.NewProcess("crash-wait", 1, 0)
+		futexer := p.NewThread(nil)
+		poller := p.NewThread(futexer)
+		base := futexer.Syscall(SysShmat, futexer.Syscall(SysShmget, 0, 4096, 0).Val, 0, 0).Val
+		epfd := poller.Syscall(SysEpollCreate1, 0).Val
+		out := base + 64
+
+		done := make(chan struct{}, 2)
+		go func() {
+			for !futexer.Exited() {
+				futexer.RawSyscall(SysFutex, base, FutexWait, 0)
+			}
+			done <- struct{}{}
+		}()
+		go func() {
+			for !poller.Exited() {
+				poller.RawSyscall(SysEpollWait, epfd, out, 1, ^uint64(0))
+			}
+			done <- struct{}{}
+		}()
+		for spin := 0; spin < i%64; spin++ {
+			runtime.Gosched()
+		}
+		futexer.Crash("test")
+		poller.Crash("test")
+		for n := 0; n < 2; n++ {
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				k.futex.wakeAll()
+				k.Hub.Notify()
+				t.Fatalf("round %d of %d: a crashed thread slept through its own wake-up", i, rounds)
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package vnet
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -48,12 +47,14 @@ func newSpliceRig(t *testing.T, handoff bool, reqSize, respSize int) *spliceRig 
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := NewSpliceSet(1)
+	t.Cleanup(ss.Close)
 	r := &spliceRig{net: n, client: client, front: front, back: back, server: server}
+	r.sp = ss.NewSplice(front, back, nil)
 	if handoff {
-		r.sp = NewHandoffSplice(front, back, reqSize, respSize)
-	} else {
-		r.sp = NewSplice(front, back)
+		r.sp.EnableHandoff(reqSize, respSize)
 	}
+	ss.Start(r.sp)
 	return r
 }
 
@@ -128,8 +129,8 @@ func TestHandoffFreezeHarvestReplay(t *testing.T) {
 	}
 
 	// Freeze, then let the dying backend emit resp2 into the queue the
-	// pumps are no longer draining, and die.
-	if !r.sp.Freeze(2 * time.Second) {
+	// loop is no longer draining, and die.
+	if !r.sp.Freeze() {
 		t.Fatal("freeze did not quiesce")
 	}
 	r.server.Send([]byte("resp0002"), 40)
@@ -194,7 +195,7 @@ func TestHandoffFreezeHarvestReplay(t *testing.T) {
 	<-r.sp.Done()
 }
 
-// TestHandoffBackDeathParksInsteadOfEOF: the response pump must not
+// TestHandoffBackDeathParksInsteadOfEOF: the response direction must not
 // propagate a dead backend's FIN to a client that is still owed
 // responses — it parks until a handoff supplies a successor.
 func TestHandoffBackDeathParksInsteadOfEOF(t *testing.T) {
@@ -213,7 +214,7 @@ func TestHandoffBackDeathParksInsteadOfEOF(t *testing.T) {
 		t.Fatalf("client saw %v, want parked stream (would-block)", err)
 	}
 
-	if !r.sp.Freeze(2 * time.Second) {
+	if !r.sp.Freeze() {
 		t.Fatal("freeze did not quiesce a back-dead splice")
 	}
 	back2, _, err := r.net.Connect("srv-b:1", r.sp.LastStamp())
@@ -339,8 +340,8 @@ func TestSpliceTeardownRace(t *testing.T) {
 	}
 }
 
-// TestFreezeAbortRace: Abort racing Freeze must neither deadlock the
-// freeze poll nor leave pumps parked forever — Done always fires.
+// TestFreezeAbortRace: Abort racing Freeze must neither deadlock nor
+// leave a frozen direction unretired — Done always fires.
 func TestFreezeAbortRace(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
 		r := newSpliceRig(t, true, 4, 8)
@@ -349,7 +350,7 @@ func TestFreezeAbortRace(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			r.sp.Freeze(50 * time.Millisecond)
+			r.sp.Freeze()
 		}()
 		go func() {
 			defer wg.Done()
@@ -364,52 +365,5 @@ func TestFreezeAbortRace(t *testing.T) {
 		if _, _, err := r.sp.Handoff(r.back); !errors.Is(err, ErrSpliceAborted) && !errors.Is(err, ErrNotFrozen) {
 			t.Fatalf("handoff after abort = %v", err)
 		}
-	}
-}
-
-// TestInterruptedRecvResumes: the popSeg interrupt generation must wake
-// only the in-flight waiters; data sent afterwards is still delivered.
-func TestInterruptedRecvResumes(t *testing.T) {
-	n := New(Loopback)
-	l, err := n.Listen("a:1", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _, err := n.Connect("a:1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, err := l.Accept(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan []byte, 1)
-	go func() {
-		for {
-			data, _, err := s.RecvSeg(true)
-			if err == errInterrupted {
-				continue
-			}
-			if err != nil || data == nil {
-				close(got)
-				return
-			}
-			got <- data
-			return
-		}
-	}()
-	time.Sleep(time.Millisecond)
-	s.rx.interrupt()
-	time.Sleep(time.Millisecond)
-	if _, err := c.Send([]byte("after"), 0); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case data := <-got:
-		if !bytes.Equal(data, []byte("after")) {
-			t.Fatalf("got %q", data)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("receiver never resumed after interrupt")
 	}
 }

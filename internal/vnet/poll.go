@@ -9,18 +9,18 @@
 // Semantics are edge-triggered, like epoll with EPOLLET:
 //
 //   - A registration fires when the conn's receive state *changes*:
-//     a segment is pushed, the peer's FIN lands (EOF), the local side
-//     resets, or a splice-freeze interrupt() bumps the generation — the
-//     same set of events that wake a parked blocking Recv.
+//     a segment is pushed, the peer's FIN lands (EOF), or the local side
+//     resets — the same set of events that wake a parked blocking Recv.
+//     A splice resuming a frozen direction also kicks its registration.
 //   - One registration is queued at most once until delivered; a burst
 //     of pushes coalesces into one event. After Wait delivers it, the
 //     registration re-arms — the consumer must drain the conn to
 //     ErrWouldBlock before the next Wait, or it can miss data.
 //   - Registration itself delivers an initial event if the conn is
 //     already readable (ready-before-register is not lost).
-//   - Spurious events are legal (an interrupt with no data delivers an
-//     event whose drain immediately sees ErrWouldBlock); consumers must
-//     treat an event as "check the conn", not "data is guaranteed".
+//   - Spurious events are legal (a kick with no data delivers an event
+//     whose drain immediately sees ErrWouldBlock); consumers must treat
+//     an event as "check the conn", not "data is guaranteed".
 //
 // Listeners register the same way: an event fires when a connection is
 // enqueued for Accept or the listener closes.
@@ -101,7 +101,7 @@ func NewPoller() *Poller {
 	return &Poller{sig: make(chan struct{}, 1)}
 }
 
-// AddConn registers c for RX readiness (data, EOF, reset, interrupt)
+// AddConn registers c for RX readiness (data, EOF, reset)
 // under the given cookie. If c is already readable the registration
 // delivers an initial event.
 func (p *Poller) AddConn(c *Conn, key uint64) error {

@@ -1,47 +1,43 @@
 // The splice forwarder: the virtual load balancer's data plane. A splice
-// pumps bytes between two established connections — typically a front-end
+// moves bytes between two established connections — typically a front-end
 // connection accepted from a client and a back-end connection opened to a
 // server shard — rewriting addresses implicitly (each side only ever sees
 // the balancer-owned endpoint) while carrying virtual arrival stamps
 // through unchanged, so end-to-end virtual time stays exact: the client is
 // charged both hops' link costs and nothing else.
 //
-// Two splice flavours share the type:
+// Every splice is driven by a SpliceSet event loop (spliceset.go). A
+// splice armed with EnableHandoff additionally supports live migration:
+// it retains every forwarded request segment until the matching response
+// has been delivered (the FIFO request/response ack protocol), can be
+// Frozen at a segment boundary, and Handoff re-splices the front conn
+// onto a successor backend — harvesting responses still queued at the
+// dead backend, replaying the unacked request tail with original arrival
+// stamps, and resuming mid-flight. Zero-loss shard failover is built on
+// exactly this.
 //
-//   - NewSplice is the plain forwarder (PR 2/5 behaviour, byte-identical):
-//     EOF and resets propagate immediately, and the only recovery from a
-//     dying backend is Abort.
-//   - NewHandoffSplice adds live migration: the splice retains every
-//     forwarded request segment until the matching response has been
-//     delivered (the FIFO request/response ack protocol), can be Frozen at
-//     a segment boundary, and Handoff re-splices the front conn onto a
-//     successor backend — harvesting responses still queued at the dead
-//     backend, replaying the unacked request tail with original arrival
-//     stamps, and resuming the pumps mid-flight. Zero-loss shard failover
-//     is built on exactly this.
+// On an event loop, freezing a direction just means not draining it: the
+// loop handles a retaining splice's segments one at a time under the
+// splice's lock, and a frozen direction returns without reading, so its
+// data stays queued in the rx queue. Because the poller is
+// edge-triggered, whatever resumes the splice (Unfreeze, Handoff) kicks
+// both directions.
 package vnet
 
 import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"remon/internal/model"
 )
 
 // Handoff errors.
 var (
-	// ErrNotFrozen: Handoff requires a completed Freeze (pumps quiesced).
+	// ErrNotFrozen: Handoff requires a completed Freeze.
 	ErrNotFrozen = errors.New("vnet: splice not frozen")
 	// ErrSpliceAborted: the splice was cut before the handoff landed.
 	ErrSpliceAborted = errors.New("vnet: splice aborted")
-)
-
-// Pump directions.
-const (
-	dirFwd = iota // front -> back: client requests
-	dirRev        // back -> front: server responses
 )
 
 // retSeg is one retained (forwarded but not yet acknowledged) request
@@ -53,24 +49,23 @@ type retSeg struct {
 	arrive model.Duration
 }
 
-// handoffState is the migration half of a handoff-capable splice.
+// handoffState is the migration half of a handoff-capable splice. mu
+// also serialises the event loop's per-segment steps for the splice, so
+// holding it means no segment is between the two conns.
 type handoffState struct {
 	reqSize, respSize int
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	// frozen parks both pumps at their loop tops; set by Freeze, cleared
-	// by Handoff/Unfreeze.
+	mu sync.Mutex
+	// frozen stops the loop draining either direction; set by Freeze,
+	// cleared by Handoff/Unfreeze.
 	frozen bool
-	// backDead parks the response pump when the back conn died
+	// backDead parks the response direction when the back conn died
 	// mid-conversation (shard death): propagating that FIN would cut the
 	// client, and the supervisor's handoff (or abort) is on its way.
 	backDead bool
-	// frontFIN records that the request pump saw the client's FIN — the
-	// signal that a subsequent back-side FIN is ordinary teardown.
+	// frontFIN records that the request direction saw the client's FIN —
+	// the signal that a subsequent back-side FIN is ordinary teardown.
 	frontFIN bool
-	live     int // pumps not yet returned
-	parked   int // pumps currently parked on cond
 
 	// retained is the unacked request log (FIFO); ackedReq / respBytes
 	// are cumulative trim positions: every complete response releases
@@ -86,184 +81,31 @@ type handoffState struct {
 // Splice is one bidirectional forwarding session between two connections.
 type Splice struct {
 	a *Conn // front (fixed for the splice's lifetime)
-	b *Conn // back (swapped by Handoff on handoff-capable splices)
+	b *Conn // back (swapped by Handoff, under h.mu)
 
-	done    chan struct{}
-	closing sync.Once
-	aborted atomic.Bool
+	loop   *spliceLoop
+	keyFwd uint64 // poller key of a -> b; keyFwd+1 is b -> a
+	// onDone runs on the event loop once both directions have finished,
+	// just before Done is closed.
+	onDone func(*Splice)
+
+	done     chan struct{}
+	closing  sync.Once
+	aborted  atomic.Bool
+	dirsLeft atomic.Int32 // directions not yet finished
 
 	fwdBytes atomic.Uint64 // a -> b
 	revBytes atomic.Uint64 // b -> a
 
-	h *handoffState // nil on plain splices
-
-	polled *polledState // nil unless driven by a SpliceSet event loop
+	h *handoffState // nil unless EnableHandoff armed the protocol
 }
 
-// NewSplice starts forwarding between a and b in both directions. The
-// splice owns both connections from here on: when either side reaches EOF
-// or errors, both are closed and Done fires once drained.
-func NewSplice(a, b *Conn) *Splice {
-	s := &Splice{a: a, b: b, done: make(chan struct{})}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		s.pump(a, b, &s.fwdBytes)
-	}()
-	go func() {
-		defer wg.Done()
-		s.pump(b, a, &s.revBytes)
-	}()
-	go func() {
-		wg.Wait()
-		close(s.done)
-	}()
-	return s
-}
-
-// NewHandoffSplice starts a handoff-capable forwarding session for a
-// reqSize/respSize framed request/response protocol (the retention trim
-// rule: one complete response acknowledges one request's bytes).
-func NewHandoffSplice(a, b *Conn, reqSize, respSize int) *Splice {
-	s := &Splice{a: a, b: b, done: make(chan struct{})}
-	h := &handoffState{reqSize: reqSize, respSize: respSize, live: 2}
-	h.cond = sync.NewCond(&h.mu)
-	s.h = h
-	go s.pumpH(dirFwd, &s.fwdBytes)
-	go s.pumpH(dirRev, &s.revBytes)
-	return s
-}
-
-// pump forwards src's stream into dst until EOF or reset, preserving
-// each segment's virtual arrival time as the forwarded send time. The
-// payload is never copied: RecvSeg transfers ownership of the received
-// segment's backing slice and SendSeg hands the same slice to the far
-// receiver (PR 1's aliased-view discipline on the network data plane),
-// so a steady-state splice allocates nothing. A clean EOF propagates as
-// a one-way FIN (CloseWrite) so the reverse direction can still deliver
-// an in-flight response; a reset tears both sides down.
-func (s *Splice) pump(src, dst *Conn, counter *atomic.Uint64) {
-	for {
-		data, arrive, err := src.RecvSeg(true)
-		if err != nil {
-			s.Abort()
-			return
-		}
-		if data == nil {
-			dst.CloseWrite()
-			return
-		}
-		counter.Add(uint64(len(data)))
-		if _, err := dst.SendSeg(data, arrive); err != nil {
-			s.Abort()
-			return
-		}
-	}
-}
-
-// pumpH is the handoff-capable pump. It differs from pump in three ways:
-// it re-resolves its endpoints each iteration (the back conn is swapped
-// by Handoff), it quiesces at the loop top while the splice is frozen
-// (or, response-side, while the back conn is dead awaiting a successor),
-// and the request direction logs every forwarded segment into the
-// retained/ack protocol.
-func (s *Splice) pumpH(dir int, counter *atomic.Uint64) {
-	h := s.h
-	defer func() {
-		h.mu.Lock()
-		h.live--
-		last := h.live == 0
-		h.mu.Unlock()
-		if last {
-			close(s.done)
-		}
-	}()
-	for {
-		// Quiescence point. Both park reasons resolve only through
-		// Handoff, Unfreeze or Abort.
-		h.mu.Lock()
-		for h.frozen || (dir == dirRev && h.backDead) {
-			if s.aborted.Load() {
-				h.mu.Unlock()
-				return
-			}
-			h.parked++
-			h.cond.Wait()
-			h.parked--
-		}
-		if s.aborted.Load() {
-			h.mu.Unlock()
-			return
-		}
-		var src, dst *Conn
-		if dir == dirFwd {
-			src, dst = s.a, s.b
-		} else {
-			src, dst = s.b, s.a
-		}
-		h.mu.Unlock()
-
-		data, arrive, err := src.RecvSeg(true)
-		switch {
-		case err == errInterrupted:
-			continue // freeze in progress: loop to the quiescence point
-		case err != nil:
-			if dir == dirRev && h.parkBackDead(s) {
-				continue
-			}
-			s.Abort()
-			return
-		case data == nil: // FIN
-			if dir == dirRev && h.parkBackDead(s) {
-				continue
-			}
-			if dir == dirFwd {
-				h.mu.Lock()
-				h.frontFIN = true
-				h.mu.Unlock()
-			}
-			dst.CloseWrite()
-			return
-		}
-
-		h.mu.Lock()
-		if arrive > h.lastStamp {
-			h.lastStamp = arrive
-		}
-		if dir == dirFwd {
-			h.retained = append(h.retained, retSeg{data: data, arrive: arrive})
-			h.retainedBytes += len(data)
-		}
-		h.mu.Unlock()
-
-		counter.Add(uint64(len(data)))
-		if _, err := dst.SendSeg(data, arrive); err != nil {
-			s.Abort()
-			return
-		}
-		if dir == dirRev {
-			h.mu.Lock()
-			h.ackLocked(len(data))
-			h.mu.Unlock()
-		}
-	}
-}
-
-// parkBackDead decides the response pump's fate when the back conn hits
-// EOF or reset mid-splice. If the client's own FIN has not yet crossed,
-// the only way the back side dies is backend death — propagating the
-// FIN would cut a client whose responses are still owed, so the pump
-// parks and waits for a Handoff (or Abort). A back-side FIN after the
-// client's FIN is ordinary connection teardown and flows through.
-func (h *handoffState) parkBackDead(s *Splice) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if s.aborted.Load() || h.frontFIN {
-		return false
-	}
-	h.backDead = true
-	return true
+// EnableHandoff arms the live-migration protocol on an inert splice (call
+// between SpliceSet.NewSplice and Start) for a reqSize/respSize framed
+// request/response protocol — the retention trim rule: one complete
+// response acknowledges one request's bytes.
+func (s *Splice) EnableHandoff(reqSize, respSize int) {
+	s.h = &handoffState{reqSize: reqSize, respSize: respSize}
 }
 
 // ackLocked accounts n delivered response bytes and trims the acked
@@ -296,39 +138,26 @@ func (h *handoffState) ackLocked(n int) {
 	}
 }
 
-// Freeze quiesces a handoff-capable splice: both pumps park at their
-// loop tops, so no segment is held in flight between the two conns and
-// the retained/ack accounting is stable. Blocking receives are
-// interrupted (and re-interrupted each poll round — a pump that entered
-// its wait between the generation bump and the check would otherwise
-// sleep through). Bounded by timeout (host time); reports whether full
-// quiescence was reached. On success the splice stays frozen until
-// Handoff or Unfreeze; on timeout it is left freeze-pending and the
-// caller is expected to Abort it (the graceful-degradation clause).
-func (s *Splice) Freeze(timeout time.Duration) bool {
+// Freeze quiesces a handoff-capable splice at a segment boundary: the
+// owning loop forwards each segment under h.mu, so once Freeze holds it
+// no segment is in flight between the two conns, and every later step
+// sees the flag and leaves its data queued. The retained/ack accounting
+// is stable from then on. Reports false — nothing to migrate — when the
+// splice is not handoff-capable, was aborted, or has already finished
+// both directions. On success the splice stays frozen until Handoff or
+// Unfreeze.
+func (s *Splice) Freeze() bool {
 	h := s.h
 	if h == nil {
 		return false
 	}
 	h.mu.Lock()
-	h.frozen = true
-	h.mu.Unlock()
-	deadline := time.Now().Add(timeout)
-	for {
-		h.mu.Lock()
-		front, back := s.a, s.b
-		quiesced := h.parked == h.live
-		h.mu.Unlock()
-		if quiesced {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		front.rx.interrupt()
-		back.rx.interrupt()
-		time.Sleep(20 * time.Microsecond)
+	defer h.mu.Unlock()
+	if s.aborted.Load() || s.dirsLeft.Load() == 0 {
+		return false
 	}
+	h.frozen = true
+	return true
 }
 
 // Unfreeze resumes a frozen splice in place (no backend swap).
@@ -339,23 +168,28 @@ func (s *Splice) Unfreeze() {
 	}
 	h.mu.Lock()
 	h.frozen = false
-	h.cond.Broadcast()
+	b := s.b
 	h.mu.Unlock()
+	s.a.rx.kick()
+	b.rx.kick()
 }
 
 // Handoff re-splices the frozen front conn onto newBack, the successor
-// backend, and resumes the pumps. Steps, in order:
+// backend, and resumes the splice. Steps, in order:
 //
 //  1. Harvest: response segments the dead backend emitted before dying
-//     still sit in the old back endpooint's receive queue; they are
+//     still sit in the old back endpoint's receive queue; they are
 //     forwarded to the front conn with their original arrival stamps and
 //     acked into the retention trim, so their requests are not replayed.
 //  2. Replay: the unacked request tail is re-sent to newBack, original
 //     stamps preserved. The segments stay retained — they ack out only
 //     when their responses arrive, so a successor that dies too gets the
-//     same replay from the next handoff.
-//  3. Swap and resume: newBack becomes the splice's back conn, the old
-//     one is closed, and both pumps continue mid-flight.
+//     same replay from the next handoff. A client FIN that already
+//     crossed is re-sent after the tail.
+//  3. Swap and resume: newBack becomes the splice's back conn and takes
+//     over the response direction's registration on the same loop (this
+//     happens first, so a failed step leaves a splice Abort can retire),
+//     the old one is closed, and both directions are kicked.
 //
 // The caller must only invoke Handoff after the old backend can no
 // longer transmit (replica set unwound): a segment pushed after the
@@ -364,18 +198,27 @@ func (s *Splice) Unfreeze() {
 func (s *Splice) Handoff(newBack *Conn) (harvested, replayed int, err error) {
 	h := s.h
 	if h == nil {
-		return 0, 0, errors.New("vnet: not a handoff splice")
+		return 0, 0, ErrNotFrozen
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if s.aborted.Load() {
 		return 0, 0, ErrSpliceAborted
 	}
-	if !h.frozen || h.parked != h.live {
+	if !h.frozen {
 		return 0, 0, ErrNotFrozen
 	}
-
+	if err := s.loop.p.AddConn(newBack, s.keyFwd+1); err != nil {
+		return 0, 0, err
+	}
+	// newBack owns the response direction from here, so an Abort after a
+	// failed harvest or replay still retires it through the loop.
 	old := s.b
+	s.loop.p.RemoveConn(old)
+	defer old.Close()
+	s.b = newBack
+	h.backDead = false
+
 	for {
 		data, arrive, rerr := old.rx.popSeg(false)
 		if rerr != nil || data == nil {
@@ -391,7 +234,6 @@ func (s *Splice) Handoff(newBack *Conn) (harvested, replayed int, err error) {
 		harvested += len(data)
 		h.ackLocked(len(data))
 	}
-	old.Close()
 
 	for _, seg := range h.retained {
 		if len(seg.data) == 0 {
@@ -403,39 +245,37 @@ func (s *Splice) Handoff(newBack *Conn) (harvested, replayed int, err error) {
 		replayed += len(seg.data)
 		h.replayed += uint64(len(seg.data))
 	}
+	if h.frontFIN {
+		newBack.CloseWrite()
+	}
 
-	s.b = newBack
-	h.backDead = false
 	h.frozen = false
-	h.cond.Broadcast()
+	s.a.rx.kick()
+	newBack.rx.kick()
 	return harvested, replayed, nil
 }
 
 // Abort force-closes both sides; in-flight data already queued at either
 // receiver still drains. Safe to call from any goroutine, any number of
 // times — the supervisor uses it to cut a quarantined shard's
-// connections (and as the degradation path when a handoff misses its
-// deadline). Parked pumps are woken so Done still fires.
+// connections (and as the degradation path when a handoff fails). The
+// close events wake the loop, which retires both directions (frozen or
+// parked ones too), so Done still fires.
 func (s *Splice) Abort() {
 	s.closing.Do(func() {
 		s.aborted.Store(true)
-		a, b := s.a, s.b
-		if s.h != nil {
-			s.h.mu.Lock()
-			a, b = s.a, s.b
-			s.h.mu.Unlock()
+		b := s.b
+		if h := s.h; h != nil {
+			h.mu.Lock()
+			b = s.b
+			h.mu.Unlock()
 		}
-		a.Close()
+		s.a.Close()
 		b.Close()
-		if s.h != nil {
-			s.h.mu.Lock()
-			s.h.cond.Broadcast()
-			s.h.mu.Unlock()
-		}
 	})
 }
 
-// Done is closed once both pump directions have terminated.
+// Done is closed once both directions have terminated.
 func (s *Splice) Done() <-chan struct{} { return s.done }
 
 // Transferred reports total forwarded bytes (front->back, back->front).
@@ -450,7 +290,7 @@ func (s *Splice) ClientAddr() string { return s.a.RemoteAddr() }
 // LastStamp reports the latest virtual arrival stamp the splice has
 // forwarded in either direction; handoff uses it as the successor
 // connection's virtual establishment time so the migrated stream's
-// timeline stays continuous. Zero on plain splices.
+// timeline stays continuous. Zero on splices without handoff.
 func (s *Splice) LastStamp() model.Duration {
 	if s.h == nil {
 		return 0

@@ -1,13 +1,10 @@
-// The polled splice data plane: the third splice flavour. Where
-// NewSplice burns a goroutine pair per connection (fine for tens,
-// ruinous for a million), a SpliceSet drives every splice registered
+// The splice event loops. A SpliceSet drives every splice registered
 // with it from a fixed pool of poller event loops — K goroutines for N
-// connections, the balancer-side half of the million-connection
-// engine. Forwarding semantics are identical to NewSplice: zero-copy
-// segment transfer, arrival stamps preserved, EOF as a one-way FIN,
-// reset or send-failure aborts both sides. Handoff (Freeze/Handoff) is
-// not supported on polled splices — the fleet keeps the pump-based
-// flavour when live migration is armed.
+// connections, the balancer-side half of the million-connection engine.
+// Forwarding is zero-copy segment transfer with arrival stamps
+// preserved, EOF propagates as a one-way FIN, and a reset or
+// send-failure aborts both sides. Splices armed with EnableHandoff run
+// the retained-request protocol (splice.go) on the same loops.
 package vnet
 
 import (
@@ -15,33 +12,16 @@ import (
 	"sync/atomic"
 )
 
-// polledState is the event-loop half of a polled splice.
-type polledState struct {
-	loop     *spliceLoop
-	keyFwd   uint64 // keyFwd+1 is the reverse direction
-	dirsLeft atomic.Int32
-	// onDone runs on the event loop when both directions have finished —
-	// the callback that replaces the per-splice Done-waiter goroutine.
-	onDone func(*Splice)
-}
-
-// spliceDir is one forwarding direction of one polled splice.
-type spliceDir struct {
-	sp      *Splice
-	src     *Conn
-	dst     *Conn
-	counter *atomic.Uint64
-}
-
-// spliceLoop is one event loop: a poller plus the directions it drives.
+// spliceLoop is one event loop: a poller plus the splices it drives,
+// keyed by direction (even keys forward a -> b, odd keys b -> a).
 type spliceLoop struct {
 	p       *Poller
 	mu      sync.Mutex
-	dirs    map[uint64]*spliceDir
+	dirs    map[uint64]*Splice
 	nextKey uint64
 }
 
-// SpliceSet drives polled splices from a fixed pool of event loops.
+// SpliceSet drives splices from a fixed pool of event loops.
 type SpliceSet struct {
 	loops  []*spliceLoop
 	next   atomic.Uint64
@@ -57,7 +37,7 @@ func NewSpliceSet(loops int) *SpliceSet {
 	}
 	ss := &SpliceSet{}
 	for i := 0; i < loops; i++ {
-		lp := &spliceLoop{p: NewPoller(), dirs: map[uint64]*spliceDir{}}
+		lp := &spliceLoop{p: NewPoller(), dirs: map[uint64]*Splice{}}
 		ss.loops = append(ss.loops, lp)
 		ss.wg.Add(1)
 		go lp.run(ss)
@@ -65,42 +45,47 @@ func NewSpliceSet(loops int) *SpliceSet {
 	return ss
 }
 
-// Loops reports the event-loop count.
-func (ss *SpliceSet) Loops() int { return len(ss.loops) }
-
 // Splice forwards between a and b on one of the set's event loops:
 // NewSplice followed immediately by Start. Use the two-step form when
 // bookkeeping must see the splice before its first event (and therefore
-// before onDone) can fire.
+// before onDone) can fire, or to EnableHandoff.
 func (ss *SpliceSet) Splice(a, b *Conn, onDone func(*Splice)) *Splice {
 	s := ss.NewSplice(a, b, onDone)
 	ss.Start(s)
 	return s
 }
 
-// NewSplice creates an inert polled splice between a and b. Nothing is
+// NewSplice creates an inert splice between a and b. Nothing is
 // forwarded — and onDone cannot fire — until Start; callers register
 // the splice with their own accounting in between. Both conns must be
 // unregistered with any poller (fresh Connect/Accept endpoints are).
-// onDone, if non-nil, runs on the event loop once both directions have
-// terminated — after Done() is closed. The splice supports
-// Abort/Done/Transferred exactly like the pump flavour; Freeze/Handoff
-// report not-supported.
+// The splice owns both connections from Start on: when either side
+// resets, both are closed. onDone, if non-nil, runs on the event loop
+// once both directions have terminated, just before Done() is closed.
 func (ss *SpliceSet) NewSplice(a, b *Conn, onDone func(*Splice)) *Splice {
-	s := &Splice{a: a, b: b, done: make(chan struct{})}
+	s := &Splice{a: a, b: b, onDone: onDone, done: make(chan struct{})}
+	s.dirsLeft.Store(2)
 	lp := ss.loops[int(ss.next.Add(1)-1)%len(ss.loops)]
-	ps := &polledState{loop: lp, onDone: onDone}
-	ps.dirsLeft.Store(2)
-	s.polled = ps
-	lp.register(s)
+	s.loop = lp
+	lp.mu.Lock()
+	s.keyFwd = lp.nextKey
+	lp.nextKey += 2
+	lp.dirs[s.keyFwd] = s
+	lp.dirs[s.keyFwd+1] = s
+	lp.mu.Unlock()
 	return s
 }
 
-// Start arms a NewSplice-created splice on its event loop. Data queued
-// before Start (or an Abort called in between) is picked up by the
-// initial ready-before-register event. Call exactly once per splice.
+// Start arms a NewSplice-created splice on its event loop: both
+// directions register with the poller. Data queued before Start (or an
+// Abort called in between) is picked up by the initial
+// ready-before-register event. Call exactly once per splice; a conn
+// already registered with a poller is a caller bug and panics.
 func (ss *SpliceSet) Start(s *Splice) {
-	s.polled.loop.arm(s)
+	p := s.loop.p
+	if p.AddConn(s.a, s.keyFwd) != nil || p.AddConn(s.b, s.keyFwd+1) != nil {
+		panic("vnet: splice conn already registered with a poller")
+	}
 }
 
 // Discard unwinds a NewSplice-created splice that was never Started —
@@ -110,11 +95,10 @@ func (ss *SpliceSet) Start(s *Splice) {
 // direction entries leave the loop's table, neither conn is touched,
 // and onDone never fires. Exclusive with Start.
 func (ss *SpliceSet) Discard(s *Splice) {
-	lp := s.polled.loop
-	kf := s.polled.keyFwd
+	lp := s.loop
 	lp.mu.Lock()
-	delete(lp.dirs, kf)
-	delete(lp.dirs, kf+1)
+	delete(lp.dirs, s.keyFwd)
+	delete(lp.dirs, s.keyFwd+1)
 	lp.mu.Unlock()
 }
 
@@ -129,40 +113,6 @@ func (ss *SpliceSet) Close() {
 		lp.p.Close()
 	}
 	ss.wg.Wait()
-}
-
-// register allocates keys for both directions of s and installs them in
-// the loop's direction table. The poller is not armed yet.
-func (lp *spliceLoop) register(s *Splice) {
-	fwd := &spliceDir{sp: s, src: s.a, dst: s.b, counter: &s.fwdBytes}
-	rev := &spliceDir{sp: s, src: s.b, dst: s.a, counter: &s.revBytes}
-	lp.mu.Lock()
-	kf := lp.nextKey
-	lp.nextKey += 2
-	lp.dirs[kf] = fwd
-	lp.dirs[kf+1] = rev
-	lp.mu.Unlock()
-	s.polled.keyFwd = kf
-}
-
-// arm registers both directions with the poller. Conns already readable
-// (data queued, or an Abort before Start) deliver immediately.
-func (lp *spliceLoop) arm(s *Splice) {
-	kf := s.polled.keyFwd
-	if err := lp.p.AddConn(s.a, kf); err != nil {
-		s.Abort()
-		lp.mu.Lock()
-		fwd := lp.dirs[kf]
-		lp.mu.Unlock()
-		lp.finish(kf, fwd)
-	}
-	if err := lp.p.AddConn(s.b, kf+1); err != nil {
-		s.Abort()
-		lp.mu.Lock()
-		rev := lp.dirs[kf+1]
-		lp.mu.Unlock()
-		lp.finish(kf+1, rev)
-	}
 }
 
 func (lp *spliceLoop) run(ss *SpliceSet) {
@@ -184,49 +134,126 @@ func (lp *spliceLoop) run(ss *SpliceSet) {
 // and fall through.
 func (lp *spliceLoop) handle(key uint64) {
 	lp.mu.Lock()
-	d := lp.dirs[key]
+	s := lp.dirs[key]
 	lp.mu.Unlock()
-	if d == nil {
+	if s == nil {
 		return
 	}
+	rev := key&1 == 1
+	if s.h != nil {
+		lp.handleRetained(s, key, rev)
+		return
+	}
+	src, dst, counter := s.a, s.b, &s.fwdBytes
+	if rev {
+		src, dst, counter = s.b, s.a, &s.revBytes
+	}
 	for {
-		data, arrive, err := d.src.RecvSeg(false)
+		data, arrive, err := src.RecvSeg(false)
 		switch {
 		case err == ErrWouldBlock:
 			return
 		case err != nil:
-			d.sp.Abort()
-			lp.finish(key, d)
+			s.Abort()
+			lp.retire(s, key, src, s.dirsLeft.Add(-1) == 0)
 			return
 		case data == nil: // FIN
-			d.dst.CloseWrite()
-			lp.finish(key, d)
+			dst.CloseWrite()
+			lp.retire(s, key, src, s.dirsLeft.Add(-1) == 0)
 			return
 		}
-		d.counter.Add(uint64(len(data)))
-		if _, err := d.dst.SendSeg(data, arrive); err != nil {
-			d.sp.Abort()
-			lp.finish(key, d)
+		counter.Add(uint64(len(data)))
+		if _, err := dst.SendSeg(data, arrive); err != nil {
+			s.Abort()
+			lp.retire(s, key, src, s.dirsLeft.Add(-1) == 0)
 			return
 		}
 	}
 }
 
-// finish retires one direction; the second retirement fires Done and
-// the completion callback.
-func (lp *spliceLoop) finish(key uint64, d *spliceDir) {
-	if d == nil {
+// handleRetained is handle for a handoff-capable splice. Each segment
+// step runs under h.mu — Freeze's acknowledgement — and differs from the
+// plain step in four ways: endpoints are re-resolved every step (Handoff
+// swaps the back conn), a frozen direction (or, response-side, one whose
+// back conn died awaiting a successor) returns without draining, the
+// request direction logs every forwarded segment into the retained/ack
+// protocol, and the response direction acks what it delivers. The last
+// direction's retirement is counted under h.mu too, so Freeze never
+// freezes a splice that has already finished.
+func (lp *spliceLoop) handleRetained(s *Splice, key uint64, rev bool) {
+	h := s.h
+	for {
+		h.mu.Lock()
+		if !s.aborted.Load() && (h.frozen || rev && h.backDead) {
+			h.mu.Unlock()
+			return // parked: data stays queued until a kick resumes it
+		}
+		src, dst := s.a, s.b
+		if rev {
+			src, dst = s.b, s.a
+		}
+		data, arrive, err := src.RecvSeg(false)
+		if err == ErrWouldBlock {
+			h.mu.Unlock()
+			return
+		}
+		if err == nil && data != nil {
+			if arrive > h.lastStamp {
+				h.lastStamp = arrive
+			}
+			if _, err = dst.SendSeg(data, arrive); err == nil {
+				if rev {
+					h.ackLocked(len(data))
+					s.revBytes.Add(uint64(len(data)))
+				} else {
+					h.retained = append(h.retained, retSeg{data: data, arrive: arrive})
+					h.retainedBytes += len(data)
+					s.fwdBytes.Add(uint64(len(data)))
+				}
+				h.mu.Unlock()
+				continue
+			}
+		} else if rev && !s.aborted.Load() && !h.frontFIN {
+			// The back conn hit EOF or reset before the client's FIN
+			// crossed: the backend died mid-conversation. Propagating it
+			// would cut a client whose responses are still owed, so park
+			// until a Handoff (or Abort). A back-side FIN after the
+			// client's is ordinary teardown and flows through below.
+			h.backDead = true
+			h.mu.Unlock()
+			return
+		}
+		fin := err == nil
+		if fin {
+			if !rev {
+				h.frontFIN = true
+			}
+			dst.CloseWrite()
+		} else {
+			s.aborted.Store(true)
+		}
+		last := s.dirsLeft.Add(-1) == 0
+		h.mu.Unlock()
+		if !fin {
+			s.Abort()
+		}
+		lp.retire(s, key, src, last)
 		return
 	}
+}
+
+// retire removes one finished direction from the loop; last (the
+// splice's second retirement) runs the completion callback and then
+// closes Done, so a Done waiter sees the callback's effects.
+func (lp *spliceLoop) retire(s *Splice, key uint64, src *Conn, last bool) {
 	lp.mu.Lock()
 	delete(lp.dirs, key)
 	lp.mu.Unlock()
-	lp.p.RemoveConn(d.src)
-	ps := d.sp.polled
-	if ps.dirsLeft.Add(-1) == 0 {
-		close(d.sp.done)
-		if ps.onDone != nil {
-			ps.onDone(d.sp)
+	lp.p.RemoveConn(src)
+	if last {
+		if s.onDone != nil {
+			s.onDone(s)
 		}
+		close(s.done)
 	}
 }

@@ -294,16 +294,97 @@ func TestSpliceSetGoroutineFootprint(t *testing.T) {
 	ss.Close()
 }
 
-func TestSpliceSetFreezeUnsupported(t *testing.T) {
+// TestSpliceSetFreezeHarvestReplay: freeze on an event loop is "do not
+// drain". A frozen splice leaves new requests and responses queued in
+// their rx queues; Unfreeze resumes in place; Handoff harvests the
+// queued response, replays the unanswered request, moves the response
+// direction's registration onto the successor and kicks the request
+// direction, whose queued segment then crosses to the successor. A
+// splice without EnableHandoff reports not freezable.
+func TestSpliceSetFreezeHarvestReplay(t *testing.T) {
 	n := New(GigabitLocal)
-	_, lbFront, lbBack, _ := setPair(t, n)
-	ss := NewSpliceSet(1)
+	client, lbFront, lbBack, server := setPair(t, n)
+	ss := NewSpliceSet(2)
 	defer ss.Close()
-	sp := ss.Splice(lbFront, lbBack, nil)
-	if sp.Freeze(time.Millisecond) {
-		t.Fatal("polled splice reported freezable")
+
+	if plain := ss.NewSplice(lbFront, lbBack, nil); plain.Freeze() {
+		t.Fatal("splice without EnableHandoff reported freezable")
+	} else {
+		ss.Discard(plain)
 	}
-	if _, _, err := sp.Handoff(nil); err == nil {
-		t.Fatal("polled splice allowed Handoff")
+	sp := ss.NewSplice(lbFront, lbBack, nil)
+	sp.EnableHandoff(4, 8)
+	ss.Start(sp)
+	idle := func(c *Conn, what string) {
+		t.Helper()
+		time.Sleep(2 * time.Millisecond)
+		if _, _, err := c.RecvSeg(false); err != ErrWouldBlock {
+			t.Fatalf("%s crossed a frozen splice: %v", what, err)
+		}
+	}
+
+	// Frozen: a request stays queued at the front; Unfreeze delivers it.
+	if !sp.Freeze() {
+		t.Fatal("freeze refused")
+	}
+	client.Send([]byte("req1"), 0)
+	idle(server, "req1")
+	sp.Unfreeze()
+	if got, _ := recvN(t, server, 4); string(got) != "req1" {
+		t.Fatalf("server got %q after unfreeze", got)
+	}
+
+	// req2 is forwarded and retained; then, frozen, the backend answers
+	// req1 and dies while the client queues req3.
+	client.Send([]byte("req2"), 10)
+	recvN(t, server, 4)
+	if !sp.Freeze() {
+		t.Fatal("second freeze refused")
+	}
+	server.Send([]byte("resp0001"), 20)
+	client.Send([]byte("req3"), 30)
+	idle(client, "resp0001")
+	server.Close()
+
+	bl2, err := n.Listen("srv-b:1", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back2, _, err := n.Connect("srv-b:1", sp.LastStamp())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server2, _, err := bl2.Accept(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	harvested, replayed, err := sp.Handoff(back2)
+	if err != nil || harvested != 8 || replayed != 4 {
+		t.Fatalf("handoff = harvested %d, replayed %d, %v; want 8, 4 (req2), nil", harvested, replayed, err)
+	}
+	if got, _ := recvN(t, client, 8); string(got) != "resp0001" {
+		t.Fatalf("client got %q, want harvested resp0001", got)
+	}
+	// The replayed req2, then the req3 that waited at the front.
+	if got, _ := recvN(t, server2, 8); string(got) != "req2req3" {
+		t.Fatalf("successor got %q, want req2req3", got)
+	}
+	server2.Send([]byte("resp0002resp0003"), 40)
+	if got, _ := recvN(t, client, 16); string(got) != "resp0002resp0003" {
+		t.Fatalf("client got %q from the successor", got)
+	}
+	if out := sp.Outstanding(); out != 0 {
+		t.Fatalf("outstanding = %d after every response, want 0", out)
+	}
+
+	client.CloseWrite()
+	if data, _, err := server2.RecvSeg(true); err != nil || data != nil {
+		t.Fatalf("successor EOF = %q, %v", data, err)
+	}
+	server2.CloseWrite()
+	select {
+	case <-sp.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("handed-off splice did not complete")
 	}
 }

@@ -34,12 +34,6 @@ var (
 	ErrBacklogFull = errors.New("vnet: accept backlog full") // ~SYN dropped
 )
 
-// errInterrupted is the package-internal sentinel a blocking popSeg
-// returns when the receive was interrupted (a splice freeze); the
-// caller is expected to re-check its control state and retry. It never
-// escapes the package: only the splice pumps see it.
-var errInterrupted = errors.New("vnet: recv interrupted")
-
 // Link describes one network link profile.
 type Link struct {
 	// Latency is the one-way propagation delay.
@@ -84,10 +78,6 @@ type rxQueue struct {
 	segs   []segment
 	closed bool // peer sent FIN
 	reset  bool // local side closed
-	// intr is bumped by interrupt(); a blocking popSeg that observes the
-	// generation change returns errInterrupted so a freezing splice can
-	// reclaim its pump from a parked receive.
-	intr uint64
 	// lastArrive enforces in-order delivery semantics: a segment that was
 	// delayed on the wire delays everything sent after it, so arrival
 	// stamps are clamped monotone per stream.
@@ -97,14 +87,11 @@ type rxQueue struct {
 	watch *pollReg
 }
 
-// interrupt wakes a blocked popSeg with errInterrupted. Data is not
-// disturbed; only whole-segment (splice) receivers observe interrupts.
-// A registered poller is woken too — a freeze must reclaim an event-loop
-// consumer exactly as it reclaims a parked pump.
-func (q *rxQueue) interrupt() {
+// kick re-delivers the queue's poller registration without changing
+// its state: an edge-triggered consumer that stopped draining (a frozen
+// splice direction) gets an event to resume on.
+func (q *rxQueue) kick() {
 	q.mu.Lock()
-	q.intr++
-	q.cond.Broadcast()
 	q.watch.notify()
 	q.mu.Unlock()
 }
@@ -215,12 +202,10 @@ func (q *rxQueue) popFront() {
 
 // popSeg pops one whole queued segment without copying, transferring
 // payload ownership to the caller — the splice forwarder's zero-copy
-// receive. EOF is (nil, 0, nil). A blocking pop returns errInterrupted
-// when interrupt() fires after entry (pending data still wins).
+// receive. EOF is (nil, 0, nil).
 func (q *rxQueue) popSeg(block bool) ([]byte, model.Duration, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	gen := q.intr
 	for len(q.segs) == 0 {
 		if q.reset {
 			return nil, 0, ErrClosed
@@ -230,9 +215,6 @@ func (q *rxQueue) popSeg(block bool) ([]byte, model.Duration, error) {
 		}
 		if !block {
 			return nil, 0, ErrWouldBlock
-		}
-		if q.intr != gen {
-			return nil, 0, errInterrupted
 		}
 		q.cond.Wait()
 	}
@@ -292,7 +274,7 @@ func (c *Conn) Recv(b []byte, block bool) (int, model.Duration, error) {
 // slice is the transmitted payload itself and ownership transfers to
 // the caller (PR 1's aliased-view discipline applied to the network
 // data plane). EOF is (nil, 0, nil). The splice forwarder pairs it with
-// SendSeg to pump bytes with zero steady-state allocations.
+// SendSeg to move bytes with zero steady-state allocations.
 func (c *Conn) RecvSeg(block bool) ([]byte, model.Duration, error) {
 	return c.rx.popSeg(block)
 }

@@ -222,6 +222,15 @@ func TestBacklogStormCloseUnblocksWaiters(t *testing.T) {
 	}
 }
 
+// testSplice forwards between a and b on a one-loop SpliceSet that
+// lives until the test ends.
+func testSplice(t *testing.T, a, b *Conn) *Splice {
+	t.Helper()
+	ss := NewSpliceSet(1)
+	t.Cleanup(ss.Close)
+	return ss.Splice(a, b, nil)
+}
+
 // TestSpliceForwardsBothWays: the balancer splice relays request and
 // response bytes between two connections, preserving virtual arrival
 // stamps (the client pays both hops' link costs and nothing more).
@@ -253,7 +262,7 @@ func TestSpliceForwardsBothWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSplice(fconn, bconn)
+	s := testSplice(t, fconn, bconn)
 
 	if _, err := client.Send([]byte("ping"), est); err != nil {
 		t.Fatal(err)
@@ -317,7 +326,7 @@ func TestSpliceHalfCloseDeliversResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	server, _, _ := bl.Accept(true)
-	s := NewSplice(fconn, bconn)
+	s := testSplice(t, fconn, bconn)
 
 	// Fire-and-half-close: request out, write side shut immediately.
 	if _, err := client.Send([]byte("req!"), est); err != nil {
@@ -365,7 +374,7 @@ func TestSpliceAbortCutsBothSides(t *testing.T) {
 	}
 	sb, _, _ := l.Accept(true)
 
-	s := NewSplice(sa, sb)
+	s := testSplice(t, sa, sb)
 	s.Abort()
 	<-s.Done()
 	// Both outer endpoints must observe the cut (EOF or reset) instead of
