@@ -106,6 +106,7 @@ func main() {
 	}
 
 	rep := mvee.Run(prog)
+	mvee.Close()
 	if clientDone != nil {
 		cres := <-clientDone
 		fmt.Printf("clients: %d requests completed, %d errors, makespan %v\n",

@@ -47,6 +47,7 @@ func runOnce(mode core.Mode, replicas int, label string, addr string) model.Dura
 		ThinkTime: 10 * model.Microsecond,
 	}, 42)
 	rep := <-done
+	mvee.Close()
 
 	if rep.Verdict.Diverged {
 		log.Fatalf("%s diverged: %s", label, rep.Verdict.Reason)

@@ -176,6 +176,7 @@ func TokenForgeryAt(level policy.Level, epoch int) Outcome {
 	if err != nil {
 		return Outcome{Name: "token forgery", Detail: err.Error()}
 	}
+	defer m.Close()
 	var violation bool
 	rep := m.Run(func(env *libc.Env) {
 		if env.T.Proc.ReplicaIndex == 0 {
@@ -215,6 +216,7 @@ func StaleTokenReplayAt(level policy.Level, epoch int) Outcome {
 	if err != nil {
 		return Outcome{Name: "stale token replay", Detail: err.Error()}
 	}
+	defer m.Close()
 	baseline := uint64(0)
 	rep := m.Run(func(env *libc.Env) {
 		env.Getpid() // legitimate unmonitored call: token minted and consumed
@@ -273,6 +275,7 @@ func RBDisclosureViaProcMapsAt(level policy.Level, epoch int) Outcome {
 	if err != nil {
 		return Outcome{Name: "RB disclosure via /proc/maps", Detail: err.Error()}
 	}
+	defer m.Close()
 	bases := m.RBBases()
 	// Both replica goroutines report their findings; atomics keep the
 	// harness itself race-free.
@@ -323,6 +326,7 @@ func RBPointerLeakScanAt(level policy.Level, epoch int) Outcome {
 	if err != nil {
 		return Outcome{Name: "RB pointer leak scan", Detail: err.Error()}
 	}
+	defer m.Close()
 	rep := m.Run(func(env *libc.Env) {
 		// Exercise a healthy mix of unmonitored calls so IP-MON state is
 		// warm before the scan.
@@ -393,6 +397,7 @@ func RBGuessingEntropy(samples int) Outcome {
 		for _, b := range m.RBBases() {
 			distinct[b] = true
 		}
+		m.Close()
 	}
 	// With 24+ bits of entropy, collisions across a few dozen samples are
 	// essentially impossible.
@@ -439,6 +444,7 @@ func DCLIntegrity() Outcome {
 	if err != nil {
 		return Outcome{Name: "disjoint code layouts", Detail: err.Error()}
 	}
+	defer m.Close()
 	var spaces []*mem.AddressSpace
 	for _, p := range m.Procs() {
 		spaces = append(spaces, p.Mem)

@@ -127,6 +127,7 @@ func runInstance(tr *Trace, c Cell, shard int) (defeated bool, detail string, ip
 
 	counts := &workload.TraceCounts{}
 	rep := m.Run(workload.TraceProgram(ops, counts))
+	m.Close()
 
 	for _, s := range rep.IPMon {
 		if s.Divergences > 0 {

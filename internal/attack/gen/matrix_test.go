@@ -3,6 +3,7 @@ package gen
 import (
 	"testing"
 
+	"remon/internal/mem"
 	"remon/internal/policy"
 )
 
@@ -116,5 +117,19 @@ func TestAttackGenFleetPath(t *testing.T) {
 			}
 			break
 		}
+	}
+}
+
+// Every instance RunMatrix boots must return its RB segment to the mem
+// arena: an unclosed MVEE allocates a fresh segment per cell, which is
+// how the full grid once outgrew a 7 GiB host.
+func TestRunMatrixReleasesEverySegment(t *testing.T) {
+	before := mem.ArenaSnapshot()
+	RunMatrix(Traces(Params{}), SmallGrid())
+	after := mem.ArenaSnapshot()
+	acquired := (after.Hits - before.Hits) + (after.Misses - before.Misses)
+	released := after.Releases - before.Releases
+	if acquired == 0 || acquired != released {
+		t.Fatalf("arena: %d segments acquired, %d released", acquired, released)
 	}
 }

@@ -108,9 +108,9 @@ const (
 )
 
 const (
-	tmSend    = iota // Gap pacing expired: try the next request
-	tmDeadline       // conn timeout: finish with loss accounting
-	tmConnect        // SYN retransmission: retry a backlog-refused connect
+	tmSend     = iota // Gap pacing expired: try the next request
+	tmDeadline        // conn timeout: finish with loss accounting
+	tmConnect         // SYN retransmission: retry a backlog-refused connect
 )
 
 // Connect retransmission pacing: a backlog-full refusal retries on the
@@ -185,20 +185,20 @@ func (w *timerWheel) advance(now time.Time, fire func(timerEnt)) {
 // by Gap in host time, the virtual clock threaded through Send, and the
 // same Lost / Phantom / Regressed / Admit accounting.
 type genConn struct {
-	key       uint64
-	c         *vnet.Conn // nil until the (possibly retried) connect lands
-	rep       ConnReport
-	now       model.Duration // virtual send clock (threaded through Send)
-	connStart time.Time
-	deadline  time.Time
-	gapAt     time.Time // earliest host time of the next send
-	connGap   time.Duration // current SYN-retry backoff
-	sent      int
-	acked     int // complete responses (window tokens released)
+	key        uint64
+	c          *vnet.Conn // nil until the (possibly retried) connect lands
+	rep        ConnReport
+	now        model.Duration // virtual send clock (threaded through Send)
+	connStart  time.Time
+	deadline   time.Time
+	gapAt      time.Time     // earliest host time of the next send
+	connGap    time.Duration // current SYN-retry backoff
+	sent       int
+	acked      int // complete responses (window tokens released)
 	lastArrive model.Duration
-	sendArmed bool // a tmSend entry is in the wheel
-	sendDead  bool // Send errored: the reader/deadline records the loss
-	done      bool
+	sendArmed  bool // a tmSend entry is in the wheel
+	sendDead   bool // Send errored: the reader/deadline records the loss
+	done       bool
 }
 
 // genLoop is one event loop: a poller, a timer wheel, and the slice of

@@ -657,9 +657,10 @@ func (m *MVEE) Shutdown(reason string) {
 // Close releases pooled resources — today the replication buffer's
 // backing segment, which returns to the mem arena for the next MVEE.
 // Call it only after the final Run has returned (no replica thread may
-// touch the RB afterwards); the MVEE must not be used again. Close is
-// optional: an unclosed MVEE is simply collected by the GC without
-// recycling its segment.
+// touch the RB afterwards); the MVEE must not be used again. Pair every
+// New with a Close: an unclosed MVEE's segment never returns to the
+// arena, so a loop of New+Run without Close allocates a fresh segment
+// per instance.
 func (m *MVEE) Close() {
 	if buf := m.rbuf.Swap(nil); buf != nil {
 		m.Kernel.ReleaseShm(buf.Segment().ID)

@@ -66,8 +66,8 @@ func TestScalerUpHysteresisAndCooldown(t *testing.T) {
 
 func TestScalerSteadyResetsStreak(t *testing.T) {
 	s := scalerForTest()
-	s.Step(overloadSig(2))               // streak 1/2
-	s.Step(steadySig(2))                 // reset
+	s.Step(overloadSig(2)) // streak 1/2
+	s.Step(steadySig(2))   // reset
 	if st := s.Step(overloadSig(2)); st.Decision != ScaleHold {
 		t.Fatalf("streak should have reset on the steady round, got %v (%s)", st.Decision, st.Reason)
 	}

@@ -404,8 +404,8 @@ func (s *shard) admits(gen int) bool {
 }
 
 // untrack drops a finished splice and reports whether s owned it (a
-// splice quarantine already swept is owned by nobody —
-// takeSplicesLocked removed its occupancy along with the map entry).
+// splice a lifecycle claim already took is owned by nobody —
+// claimLocked removed its occupancy along with the map entry).
 func (s *shard) untrack(sp *vnet.Splice) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -120,7 +120,7 @@ type TunerConfig struct {
 	WakesPerCallMax float64
 	// MaxLevel / MaxMaxLag / MaxEpoch cap the spectrum (the ratchet:
 	// the tuner can never step past them).
-	MaxLevel policy.Level
+	MaxLevel  policy.Level
 	MaxMaxLag int
 	MaxEpoch  int
 	// MinCalls gates decisions: rounds with fewer calls are no-ops.

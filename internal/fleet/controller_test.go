@@ -12,12 +12,12 @@ import (
 // signal lit — the tuner must want to relax something.
 func slowSignals() Signals {
 	return Signals{
-		Calls:            1000,
-		NsPerCall: 100000,
-		MonitoredFrac:    0.9,
-		WakesPerCall:     1.0,
-		LagWaitRate:      0.1,
-		LagHeadroom:      0,
+		Calls:         1000,
+		NsPerCall:     100000,
+		MonitoredFrac: 0.9,
+		WakesPerCall:  1.0,
+		LagWaitRate:   0.1,
+		LagHeadroom:   0,
 	}
 }
 

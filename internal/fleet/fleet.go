@@ -11,20 +11,18 @@
 //	Serving ──(divergence verdict)──> Quarantined ──> Respawning ──> Serving
 //	Serving ──(DrainShard)──────────> Draining ─────> Respawning ──> Serving
 //	Serving ──(RemoveShard)─────────> Draining ─────> Retired ─(AddShard)─> Respawning ──> Serving
+//	any ──────(Close, failed boot)──> Retired
 //
-// The pool is elastic (PR 8): AddShard grows it while serving,
-// RemoveShard shrinks it through the same drain+handoff machinery a
-// rolling restart uses. Removal never compacts the slice — the slot
-// becomes a Retired tombstone so shard indices stay stable for routing,
-// telemetry labels and the transition log, and a later AddShard revives
-// the slot before appending a new one.
-//
-// A supervisor loop subscribes to each shard monitor's verdict
-// notification. On divergence it quarantines the shard (the balancer
-// routes around it), cuts the shard's in-flight connections, waits for
-// the replica set to unwind, recycles the shard's RB segment through the
-// mem arena (MVEE.Close), and respawns a fresh replica set on a fresh
-// kernel — self-healing without interrupting the other shards' streams.
+// Every arrow out of a replica set runs one routine (lifecycle.go):
+// claim the shard, freeze or cut its connections, stop the replica set,
+// migrate the frozen connections, then respawn or leave a Retired
+// tombstone. A supervisor loop feeds it each shard monitor's divergence
+// verdict — self-healing without interrupting the other shards'
+// streams. The pool is elastic: AddShard grows it while serving and
+// RemoveShard shrinks it through the same drain and handoff a rolling
+// restart uses. Removal never compacts the slice — the Retired slot
+// keeps its index for routing, telemetry labels and the transition log,
+// and a later AddShard revives it before appending a new one.
 //
 // Virtual time stays exact on the data plane: the balancer splices
 // connections, so a request is charged both hops' link costs and the
@@ -415,11 +413,12 @@ type shard struct {
 	// with; like maxLag it is a perf knob and survives respawns.
 	// SetShardEpoch updates it and applies it to the live monitor
 	// immediately (epoch size is runtime-adjustable, PR 3).
-	epoch   int
-	net     *vnet.Network
-	kernel  *vkernel.Kernel
-	mvee    *core.MVEE
-	runDone chan *core.Report
+	epoch  int
+	net    *vnet.Network
+	kernel *vkernel.Kernel
+	// replicaSet is the live generation (zero between generations);
+	// only a lifecycle claim (claimLocked) takes it away.
+	replicaSet
 	splices map[*vnet.Splice]struct{}
 	// connsRouted counts admissions; atomic so Stats and telemetry read
 	// it without widening track's critical section.
@@ -563,12 +562,10 @@ func New(cfg Config) (*Fleet, error) {
 	f.lis = lis
 
 	for i := 0; i < cfg.Shards; i++ {
-		s := f.newShardSlot()
-		if err := f.buildShard(s); err != nil {
+		if err := f.boot(f.newShardSlot(), "boot"); err != nil {
 			f.Close()
 			return nil, err
 		}
-		f.setState(s, Serving, "boot")
 	}
 
 	f.spliceSet = vnet.NewSpliceSet(cfg.SpliceLoops)
@@ -636,8 +633,7 @@ func (f *Fleet) PoolSize() (serving, total int) {
 }
 
 // newShardSlot appends a fresh Respawning shard slot at the fleet's
-// configured boot knobs and returns it. Boot (buildShard) and the
-// Serving flip are the caller's job.
+// configured boot knobs and returns it; the caller boots it.
 func (f *Fleet) newShardSlot() *shard {
 	f.poolMu.Lock()
 	s := &shard{
@@ -687,7 +683,7 @@ func (f *Fleet) buildShard(s *shard) error {
 		return fmt.Errorf("fleet: building shard %d gen %d: %w", idx, gen, err)
 	}
 	s.inject.Store(nil)
-	runDone := make(chan *core.Report, 1)
+	rs := replicaSet{mvee: mvee, runDone: make(chan *core.Report, 1)}
 	prog := serverProgram(serverParams{
 		Addr:         s.addr,
 		RequestSize:  f.cfg.RequestSize,
@@ -695,15 +691,13 @@ func (f *Fleet) buildShard(s *shard) error {
 		Compute:      f.cfg.ComputePerRequest,
 		Inject:       &s.inject,
 	})
-	go func() { runDone <- mvee.Run(prog) }()
+	go func() { rs.runDone <- mvee.Run(prog) }()
 
 	// The shard joins the pool only once its server is listening.
 	deadline := time.Now().Add(10 * time.Second)
 	for !net.HasListener(s.addr) {
 		if time.Now().After(deadline) {
-			mvee.Shutdown("boot timeout")
-			<-runDone
-			mvee.Close()
+			rs.stop("boot timeout")
 			return fmt.Errorf("fleet: shard %d gen %d never started listening", idx, gen)
 		}
 		time.Sleep(20 * time.Microsecond)
@@ -718,15 +712,12 @@ func (f *Fleet) buildShard(s *shard) error {
 	s.mu.Lock()
 	if f.stopping.Load() {
 		s.mu.Unlock()
-		mvee.Shutdown("fleet closing")
-		<-runDone
-		mvee.Close()
+		rs.stop("fleet closing")
 		return fmt.Errorf("fleet: closing")
 	}
 	s.net = net
 	s.kernel = k
-	s.mvee = mvee
-	s.runDone = runDone
+	s.replicaSet = rs
 	s.mu.Unlock()
 	return nil
 }
@@ -762,83 +753,30 @@ func (f *Fleet) handleDivergence(ev verdictEvent) {
 	if err != nil {
 		return
 	}
-
 	// Claim the shard: a Serving — or Draining: a rolling restart must
 	// not erase an attack signal — shard of the matching generation
 	// transitions; anything else is a stale or duplicate event. Claiming
-	// a Draining shard is safe: DrainShard's wait loop observes the
-	// state change (or the taken MVEE) and bows out.
+	// a Draining shard is safe: the drain wait observes the state change
+	// and bows out.
 	s.mu.Lock()
 	st := s.state.Load()
 	if int(s.gen.Load()) != ev.gen || (st != Serving && st != Draining) || s.mvee == nil {
 		s.mu.Unlock()
 		return
 	}
-	from := st
-	s.state.Store(Quarantined)
 	s.lastVerdict = ev.v
-	mvee, runDone := s.mvee, s.runDone
-	s.mvee = nil
-	// Take the splice set in the same critical section as the flip:
-	// track admits only Serving/Draining shards, so every pick that
-	// resolves later is rejected and re-routed, and the set is complete.
-	splices := s.takeSplicesLocked()
+	c := s.claimLocked(Quarantined)
 	s.mu.Unlock()
-	quarantinedAt := time.Now()
-	f.record(s, ev.gen, from, Quarantined, "divergence: "+ev.v.Reason)
 
-	var frozen []*vnet.Splice
-	deadline := quarantinedAt.Add(f.cfg.HandoffDeadline)
-	if f.cfg.Handoff {
-		// Handoff path: freeze the set at segment boundaries; splices
-		// that miss the deadline degrade to the cut.
-		frozen = f.freezeSplices(splices, deadline)
-	} else {
-		// Cut path (Handoff=false): the shard's replicas are dead or
-		// dying, so in-flight connections cannot complete — cut them so
-		// their clients fail fast instead of hanging.
-		f.cutSplices(splices)
-	}
-
-	// Teardown: wait for Run to unwind (the verdict already crashed the
-	// replicas), then recycle the RB segment through the mem arena. After
-	// runDone the replica set can provably never transmit again, which is
-	// what makes the handoff harvest complete.
-	<-runDone
-	mvee.Close()
-	f.setState(s, Respawning, "replica set recycled")
-
-	// Migrate what can be placed now: with other shards Serving the
-	// frozen conns resume before this shard even respawns, so handoff
-	// latency is freeze + teardown, not freeze + respawn.
-	frozen = f.migrateSplices(frozen, quarantinedAt, deadline)
-
-	// Respawn a fresh replica set (new diversification seed, recycled RB
-	// backing) and rejoin the pool — at the conservative respawn level: a
-	// shard that just diverged is not trusted with relaxed monitoring
-	// until an operator re-relaxes it (SetShardPolicy).
-	s.mu.Lock()
-	s.gen.Add(1)
-	s.level = *f.cfg.RespawnPolicy
-	s.mu.Unlock()
-	if err := f.buildShard(s); err != nil {
-		// Fleet closing (or resource failure): leave the shard out of the
-		// pool; Close will not find an MVEE to retire.
-		f.abortSplices(frozen)
-		f.setState(s, Quarantined, "respawn failed: "+err.Error())
+	// Respawn at the conservative respawn level: a shard that just
+	// diverged is not trusted with relaxed monitoring until an operator
+	// re-relaxes it (SetShardPolicy).
+	if f.cycle(c, "divergence: "+ev.v.Reason, "respawned", f.cfg.RespawnPolicy) != nil {
 		return
 	}
-	f.setState(s, Serving, "respawned")
-
-	// Second migration pass now that the respawned shard is a candidate
-	// successor — the path a 1-shard fleet's handoffs take. Anything
-	// still unplaced degrades to a cut.
-	frozen = f.migrateSplices(frozen, quarantinedAt, deadline)
-	f.abortSplices(frozen)
-
 	f.mu.Lock()
 	f.recoveries++
-	f.recoveryLats = append(f.recoveryLats, time.Since(quarantinedAt))
+	f.recoveryLats = append(f.recoveryLats, time.Since(c.at))
 	close(f.recoveryNote)
 	f.recoveryNote = make(chan struct{})
 	f.mu.Unlock()
@@ -847,109 +785,18 @@ func (f *Fleet) handleDivergence(ev verdictEvent) {
 // DrainShard gracefully retires and recycles a Serving shard: new
 // connections route elsewhere immediately, in-flight ones get DrainGrace
 // to finish, then the replica set is torn down and respawned — a rolling
-// restart.
+// restart. A verdict that claims the shard mid-drain preempts the
+// rotation; DrainShard then returns nil.
 func (f *Fleet) DrainShard(idx int) error {
 	s, err := f.shardAt(idx)
 	if err != nil {
 		return err
 	}
-	if f.stopping.Load() {
-		return fmt.Errorf("fleet: closing")
-	}
-	s.mu.Lock()
-	if s.state.Load() != Serving || s.mvee == nil {
-		st := s.state.Load()
-		s.mu.Unlock()
-		return fmt.Errorf("shard %d is %v: %w", idx, st, ErrShardNotServing)
-	}
-	s.state.Store(Draining)
-	s.drainUntil = time.Now().Add(f.cfg.DrainGrace)
-	gen := int(s.gen.Load())
-	s.mu.Unlock()
-	f.record(s, gen, Serving, Draining, "drain requested")
-
-	// Wait for in-flight connections to finish, then claim the MVEE in
-	// the same critical section as the emptiness check — otherwise a
-	// connection picked while Serving could register between the final
-	// poll and the claim and be cut despite finishing in time.
-	deadline := time.Now().Add(f.cfg.DrainGrace)
-	var mvee *core.MVEE
-	var runDone chan *core.Report
-	var splices map[*vnet.Splice]struct{}
-	for {
-		s.mu.Lock()
-		if s.state.Load() != Draining || s.mvee == nil {
-			// A concurrent verdict or Close claimed the shard first.
-			s.mu.Unlock()
-			return nil
-		}
-		// occ is a single load covering both tracked splices and pending
-		// picks: a pick's CAS precedes its state revalidation, so any
-		// claim that validated Serving before the Draining flip is visible
-		// in this read.
-		if s.occ.Load() == 0 || time.Now().After(deadline) {
-			s.state.Store(Respawning)
-			mvee, runDone = s.mvee, s.runDone
-			s.mvee = nil
-			splices = s.takeSplicesLocked()
-			s.mu.Unlock()
-			break
-		}
-		s.mu.Unlock()
-		time.Sleep(200 * time.Microsecond)
-	}
-	reason := "drained"
-	var frozen []*vnet.Splice
-	drainEnd := time.Now()
-	handoffDeadline := drainEnd.Add(f.cfg.HandoffDeadline)
-	if n := len(splices); n > 0 {
-		if f.cfg.Handoff {
-			reason = fmt.Sprintf("drain grace expired, %d connections handed off", n)
-		} else {
-			reason = fmt.Sprintf("drain grace expired, %d connections cut", n)
-		}
-	}
-	f.record(s, gen, Draining, Respawning, reason)
-	if f.cfg.Handoff {
-		// Freeze the stragglers before tearing the replica set down: a
-		// response the shard manages to emit while they are frozen still
-		// lands in the back conn's queue and is harvested by the handoff.
-		frozen = f.freezeSplices(splices, handoffDeadline)
-	} else {
-		f.cutSplices(splices)
-	}
-
-	mvee.Shutdown(reason)
-	<-runDone
-	mvee.Close()
-	frozen = f.migrateSplices(frozen, drainEnd, handoffDeadline)
-
-	s.mu.Lock()
-	s.gen.Add(1)
-	s.mu.Unlock()
-	if err := f.buildShard(s); err != nil {
-		f.abortSplices(frozen)
-		f.setState(s, Quarantined, "respawn failed: "+err.Error())
+	c, ok, err := f.drain(s, Respawning, "drain requested")
+	if !ok {
 		return err
 	}
-	f.setState(s, Serving, "rotated")
-	frozen = f.migrateSplices(frozen, drainEnd, handoffDeadline)
-	f.abortSplices(frozen)
-
-	// A verdict that fired while the fresh set was still booting hit the
-	// supervisor with the shard in Respawning, where the claim check
-	// drops it — and the monitor only fires once. Re-notify now that the
-	// shard is Serving; the generation claim makes a duplicate harmless.
-	// (The supervisor's own respawn path has no such window: it is
-	// single-threaded, so a boot-time verdict waits in the channel until
-	// the shard is Serving.)
-	s.mu.Lock()
-	fresh, freshGen := s.mvee, int(s.gen.Load())
-	s.mu.Unlock()
-	if fresh != nil && fresh.Monitor != nil && fresh.Monitor.Diverged() {
-		f.notifyVerdict(s.idx, freshGen, fresh.Monitor.Verdict())
-	}
-	return nil
+	return f.cycle(c, "drained", "rotated", nil)
 }
 
 // AddShard grows the pool by one Serving shard — the autoscaler's
@@ -964,43 +811,23 @@ func (f *Fleet) AddShard() (int, error) {
 	if f.stopping.Load() {
 		return -1, fmt.Errorf("fleet: closing")
 	}
-	var s *shard
-	from := Respawning
-	f.poolMu.RLock()
-	for _, cand := range f.shards {
-		cand.mu.Lock()
-		if cand.state.Load() == Retired {
-			// Revive in place: a fresh generation at the configured boot
-			// knobs, exactly as a fresh slot would get. The state flip under
-			// cand.mu is the claim — a concurrent AddShard sees Respawning
-			// and moves on.
-			cand.state.Store(Respawning)
-			cand.gen.Add(1)
-			cand.level = *f.cfg.Policy
-			cand.maxLag = f.cfg.MaxLag
-			cand.epoch = f.cfg.EpochSize
-			cand.splices = map[*vnet.Splice]struct{}{}
-			s = cand
-			from = Retired
+	for _, s := range f.pool() {
+		s.mu.Lock()
+		if s.state.Load() != Retired {
+			s.mu.Unlock()
+			continue
 		}
-		cand.mu.Unlock()
-		if s != nil {
-			break
-		}
+		// Revive in place at the configured boot knobs, exactly as a
+		// fresh slot would get them. The claim is the state flip — a
+		// concurrent AddShard sees Respawning and moves on.
+		c := s.claimLocked(Respawning)
+		s.level, s.maxLag, s.epoch = *f.cfg.Policy, f.cfg.MaxLag, f.cfg.EpochSize
+		s.mu.Unlock()
+		return s.idx, f.cycle(c, "scale-up", "scaled up", nil)
 	}
-	f.poolMu.RUnlock()
-	if s == nil {
-		s = f.newShardSlot()
-		f.registerShardCollectors(s)
-	}
-	gen := int(s.gen.Load())
-	f.record(s, gen, from, Respawning, "scale-up")
-	if err := f.buildShard(s); err != nil {
-		f.setState(s, Retired, "scale-up failed: "+err.Error())
-		return s.idx, err
-	}
-	f.setState(s, Serving, "scaled up")
-	return s.idx, nil
+	s := f.newShardSlot()
+	f.registerShardCollectors(s)
+	return s.idx, f.boot(s, "scaled up")
 }
 
 // RemoveShard retires a Serving shard from the pool — the scale-down
@@ -1019,88 +846,18 @@ func (f *Fleet) RemoveShard(idx int) error {
 	if err != nil {
 		return err
 	}
-	if f.stopping.Load() {
-		return fmt.Errorf("fleet: closing")
-	}
-	others := 0
-	for _, o := range f.pool() {
-		if o == s {
-			continue
-		}
-		o.mu.Lock()
-		if o.state.Load() == Serving && o.mvee != nil {
-			others++
-		}
-		o.mu.Unlock()
-	}
-	if others == 0 {
+	if serving, _ := f.PoolSize(); serving < 2 && s.state.Load() == Serving {
 		return fmt.Errorf("fleet: refusing to remove shard %d: no other serving shard", idx)
 	}
-	s.mu.Lock()
-	if s.state.Load() != Serving || s.mvee == nil {
-		st := s.state.Load()
-		s.mu.Unlock()
-		return fmt.Errorf("shard %d is %v: %w", idx, st, ErrShardNotServing)
+	c, ok, err := f.drain(s, Retired, "scale-down drain")
+	if err != nil {
+		return err
 	}
-	s.state.Store(Draining)
-	s.drainUntil = time.Now().Add(f.cfg.DrainGrace)
-	gen := int(s.gen.Load())
-	s.mu.Unlock()
-	f.record(s, gen, Serving, Draining, "scale-down drain")
-
-	deadline := time.Now().Add(f.cfg.DrainGrace)
-	var mvee *core.MVEE
-	var runDone chan *core.Report
-	var splices map[*vnet.Splice]struct{}
-	for {
-		s.mu.Lock()
-		if s.state.Load() != Draining || s.mvee == nil {
-			st := s.state.Load()
-			s.mu.Unlock()
-			return fmt.Errorf("fleet: shard %d removal preempted (shard now %v): %w", idx, st, ErrShardNotServing)
-		}
-		if s.occ.Load() == 0 || time.Now().After(deadline) {
-			s.state.Store(Retired)
-			mvee, runDone = s.mvee, s.runDone
-			s.mvee = nil
-			splices = s.takeSplicesLocked()
-			s.mu.Unlock()
-			break
-		}
-		s.mu.Unlock()
-		time.Sleep(200 * time.Microsecond)
+	if !ok {
+		st, _ := f.ShardState(idx)
+		return fmt.Errorf("fleet: shard %d removal preempted (shard now %v): %w", idx, st, ErrShardNotServing)
 	}
-	reason := "scaled down"
-	var frozen []*vnet.Splice
-	drainEnd := time.Now()
-	handoffDeadline := drainEnd.Add(f.cfg.HandoffDeadline)
-	if n := len(splices); n > 0 {
-		if f.cfg.Handoff {
-			reason = fmt.Sprintf("scaled down, %d connections handed off", n)
-		} else {
-			reason = fmt.Sprintf("scaled down, %d connections cut", n)
-		}
-	}
-	f.record(s, gen, Draining, Retired, reason)
-	if f.cfg.Handoff {
-		frozen = f.freezeSplices(splices, handoffDeadline)
-	} else {
-		f.cutSplices(splices)
-	}
-
-	mvee.Shutdown(reason)
-	<-runDone
-	mvee.Close()
-	// Migrate stragglers onto the surviving shards. Unlike a drain there
-	// is no "after the respawn" second pass — the victim is gone — so
-	// retry within the handoff deadline before degrading to a cut.
-	frozen = f.migrateSplices(frozen, drainEnd, handoffDeadline)
-	for len(frozen) > 0 && time.Now().Before(handoffDeadline) {
-		time.Sleep(200 * time.Microsecond)
-		frozen = f.migrateSplices(frozen, drainEnd, handoffDeadline)
-	}
-	f.abortSplices(frozen)
-	return nil
+	return f.cycle(c, "scaled down", "", nil)
 }
 
 // SetShardPolicy hot-reloads a serving shard's relaxation rules while its
@@ -1296,31 +1053,6 @@ func (s *shard) effectiveLevelLocked() policy.Level {
 		}
 	}
 	return s.level
-}
-
-// takeSplicesLocked detaches and returns the shard's in-flight splice
-// set; s.mu must be held. The occ conns half tracks the map, so the
-// taken connections leave the occupancy too (their untracks become
-// no-ops).
-func (s *shard) takeSplicesLocked() map[*vnet.Splice]struct{} {
-	splices := s.splices
-	s.splices = map[*vnet.Splice]struct{}{}
-	if n := len(splices); n > 0 {
-		s.occ.Add(-int64(n))
-	}
-	return splices
-}
-
-// cutSplices aborts a detached splice set and accounts the failovers.
-func (f *Fleet) cutSplices(splices map[*vnet.Splice]struct{}) {
-	for sp := range splices {
-		sp.Abort()
-	}
-	if len(splices) > 0 {
-		f.mu.Lock()
-		f.failovers += uint64(len(splices))
-		f.mu.Unlock()
-	}
 }
 
 // setState transitions s and records it.
@@ -1550,7 +1282,9 @@ func (f *Fleet) WaitRecoveriesDriving(n int, timeout time.Duration, burst DriveC
 }
 
 // Close stops the balancer and supervisor, then retires every shard
-// (graceful Shutdown, Run unwind, RB segment recycled). Idempotent.
+// through the lifecycle path: its in-flight connections are cut, its
+// replica set stopped, and the slot left a Retired tombstone.
+// Idempotent.
 func (f *Fleet) Close() {
 	if !f.stopping.CompareAndSwap(false, true) {
 		return
@@ -1561,19 +1295,9 @@ func (f *Fleet) Close() {
 
 	for _, s := range f.pool() {
 		s.mu.Lock()
-		mvee, runDone := s.mvee, s.runDone
-		s.mvee = nil
-		splices := s.takeSplicesLocked()
-		s.state.Store(Quarantined)
+		c := s.claimLocked(Retired)
 		s.mu.Unlock()
-		for sp := range splices {
-			sp.Abort()
-		}
-		if mvee != nil {
-			mvee.Shutdown("fleet close")
-			<-runDone
-			mvee.Close()
-		}
+		f.cycle(c, "fleet close", "", nil)
 	}
 	// After the sweep every splice is aborted; closing the set lets its
 	// event loops drain the resulting events and exit. New may have

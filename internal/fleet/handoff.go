@@ -1,23 +1,26 @@
 // Live connection migration: the zero-loss half of the quarantine story.
 // When Config.Handoff is armed, a shard leaving the pool (divergence
-// quarantine, or a drain whose grace expired) does not cut its in-flight
-// connections. Instead the supervisor:
+// quarantine, a drain whose grace expired, a scale-down) does not cut
+// its in-flight connections. Steps 2 and 4 of the lifecycle path
+// (lifecycle.go) carry them over instead:
 //
-//  1. takes the shard's splice set in the same critical section as the
-//     state flip (admission re-routes every pick that resolves later),
-//  2. freezes every splice at a segment boundary (vnet.Splice.Freeze:
-//     the owning event loop stops draining it),
-//  3. waits for the replica set to unwind — after which the dead shard
-//     can provably never transmit again,
-//  4. harvests responses still queued in the victim's vnet, replays the
-//     unacknowledged request tail to a successor shard with original
-//     arrival stamps, and re-splices the front conn mid-flight on the
-//     same event loop (vnet.Splice.Handoff).
+//  1. the claim takes the shard's splice set in the same critical
+//     section as the state flip (admission re-routes every pick that
+//     resolves later);
+//  2. evacuate freezes every splice at a segment boundary
+//     (vnet.Splice.Freeze: the owning event loop stops draining it);
+//  3. the replica set is stopped — after which the dead shard can
+//     provably never transmit again;
+//  4. migrateSplices harvests responses still queued in the victim's
+//     vnet, replays the unacknowledged request tail to a successor
+//     shard with original arrival stamps, and re-splices the front conn
+//     mid-flight on the same event loop (vnet.Splice.Handoff).
 //
 // Graceful degradation: the whole episode runs against one host-time
-// deadline (Config.HandoffDeadline); any splice that cannot be placed in
-// time is cut exactly as the Handoff=false path would have — bounded
-// worst case, never a hang.
+// deadline (Config.HandoffDeadline). A splice no successor admits is
+// retried until then and cut after, exactly as the Handoff=false path
+// would have cut it — bounded worst case, never a hang. A closing fleet
+// cuts at once.
 package fleet
 
 import (
@@ -26,32 +29,25 @@ import (
 	"remon/internal/vnet"
 )
 
-// freezeSplices quiesces a detached splice set at segment boundaries.
-// Splices past the deadline degrade to the cut (accounted as
-// Failovers); a splice that already finished or was aborted has nothing
-// in flight and is dropped; the rest come back frozen, ready for
-// Handoff.
-func (f *Fleet) freezeSplices(splices map[*vnet.Splice]struct{}, deadline time.Time) []*vnet.Splice {
-	if len(splices) == 0 {
-		return nil
-	}
-	frozen := make([]*vnet.Splice, 0, len(splices))
+// evacuate empties a claimed splice set. With freeze, each splice is
+// quiesced at a segment boundary for handoff (one that already finished
+// or was aborted has nothing in flight and is dropped); without it, or
+// past the deadline, the splice is cut so its client fails fast instead
+// of hanging on a dying replica set. Returns the frozen splices.
+func (f *Fleet) evacuate(splices map[*vnet.Splice]struct{}, freeze bool, deadline time.Time) []*vnet.Splice {
+	var frozen []*vnet.Splice
 	cut := 0
 	for sp := range splices {
-		if time.Now().After(deadline) {
-			sp.Abort()
-			cut++
+		if freeze && time.Now().Before(deadline) {
+			if sp.Freeze() {
+				frozen = append(frozen, sp)
+			}
 			continue
 		}
-		if sp.Freeze() {
-			frozen = append(frozen, sp)
-		}
+		sp.Abort()
+		cut++
 	}
-	if cut > 0 {
-		f.mu.Lock()
-		f.failovers += uint64(cut)
-		f.mu.Unlock()
-	}
+	f.failover(cut)
 	return frozen
 }
 
@@ -124,11 +120,7 @@ func (f *Fleet) migrateSplices(frozen []*vnet.Splice, start, deadline time.Time)
 		f.handoffLats = append(f.handoffLats, lat)
 		f.mu.Unlock()
 	}
-	if cut > 0 {
-		f.mu.Lock()
-		f.failovers += uint64(cut)
-		f.mu.Unlock()
-	}
+	f.failover(cut)
 	return left
 }
 
@@ -138,9 +130,14 @@ func (f *Fleet) abortSplices(frozen []*vnet.Splice) {
 	for _, sp := range frozen {
 		sp.Abort()
 	}
-	if len(frozen) > 0 {
+	f.failover(len(frozen))
+}
+
+// failover accounts n cut in-flight connections.
+func (f *Fleet) failover(n int) {
+	if n > 0 {
 		f.mu.Lock()
-		f.failovers += uint64(len(frozen))
+		f.failovers += uint64(n)
 		f.mu.Unlock()
 	}
 }

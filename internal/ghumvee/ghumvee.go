@@ -293,9 +293,19 @@ func (m *Monitor) halted() bool {
 	return m.diverged.Load() || m.stopped.Load()
 }
 
-// signalAbort wakes every parked rendezvous waiter, exactly once.
+// signalAbort wakes every parked rendezvous waiter, exactly once, and
+// disarms every group's watchdog: a round the teardown interrupted never
+// completes, and its pending timer would keep the whole replica set
+// reachable until the lockstep timeout fires. A waiter that arms after
+// this sweep disarms itself (armWatchdog).
 func (m *Monitor) signalAbort() {
-	m.abortOnce.Do(func() { close(m.abort) })
+	m.abortOnce.Do(func() {
+		close(m.abort)
+		m.groups.Range(func(_, g any) bool {
+			g.(*ring).timer.Stop()
+			return true
+		})
+	})
 }
 
 // Stop tears the replica set down administratively — the fleet layer's

@@ -516,3 +516,38 @@ func TestClockLockstepSync(t *testing.T) {
 		t.Fatalf("fast replica clock %v not synced to lockstep", e.threads[0].Clock.Now())
 	}
 }
+
+// TestTeardownDisarmsWatchdog: a round the teardown interrupts never
+// completes, so its armed watchdog must be stopped by the teardown
+// itself. A pending timer keeps the whole replica set reachable until
+// the lockstep timeout fires, which is how repeated test runs used to
+// pile up gigabytes of dead replicas.
+func TestTeardownDisarmsWatchdog(t *testing.T) {
+	e := newMonEnv(t, 2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.m.MonitorCall(e.threads[0], &vkernel.Call{Num: vkernel.SysGetpid},
+			func(c *vkernel.Call) vkernel.Result { return e.threads[0].RawSyscallC(c) })
+	}()
+	// Only one replica arrives: its round stays open and arms the watchdog.
+	deadline := time.Now().Add(5 * time.Second)
+	for armed := false; !armed; {
+		e.m.groups.Range(func(_, g any) bool {
+			armed = armed || g.(*ring).armedRound.Load() != 0
+			return true
+		})
+		if time.Now().After(deadline) {
+			t.Fatal("half-arrived round never armed its watchdog")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	e.m.Stop("test retirement")
+	<-done
+	e.m.groups.Range(func(_, g any) bool {
+		if g.(*ring).timer.Stop() {
+			t.Error("watchdog still armed after teardown")
+		}
+		return true
+	})
+}

@@ -122,6 +122,9 @@ func (g *ring) armWatchdog(m *Monitor, r uint64, c *vkernel.Call) {
 		return
 	}
 	g.timer.Reset(m.LockstepTimeout())
+	if m.halted() {
+		g.timer.Stop() // armed after signalAbort's sweep
+	}
 }
 
 // watchdogFire runs in the timer goroutine when a round has been armed

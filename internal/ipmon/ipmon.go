@@ -438,6 +438,12 @@ func (ip *IPMon) slavePath(ctx *ikb.Context, h *Handler, st *ltState) vkernel.Re
 
 	ev, err := st.r.Next(t)
 	if err != nil {
+		if t.Exited() {
+			// Torn down while waiting for the master (a verdict raised
+			// elsewhere, or Shutdown): unwind without counting a
+			// divergence of this replica's own.
+			return vkernel.Result{Errno: vkernel.EPERM}
+		}
 		ip.divergenceCrash(t, err.Error())
 		return vkernel.Result{Errno: vkernel.EPERM}
 	}

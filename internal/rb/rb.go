@@ -438,13 +438,16 @@ func halfStartOff(h uint32) uint64 {
 }
 
 // ConsumedBy reports how many entries replica r has consumed in partition
-// p this generation.
+// p (cumulative across arbiter resets, wrapping).
 func (b *Buffer) ConsumedBy(p, r int) uint32 {
 	return b.seg.LoadU32(b.partBase(p) + phConsumed + uint64(r)*4)
 }
 
-// WrittenSeq reports how many entries the master has published in p this
-// generation.
+// WrittenSeq reports how many entries the master has published in p
+// (cumulative across arbiter resets, wrapping). A reset rewinds only the
+// write offset: the futex word a slave parks on never returns to a value
+// it held before, so a wait that compares stale cannot sleep through the
+// next publication.
 func (b *Buffer) WrittenSeq(p int) uint32 {
 	return b.seg.LoadU32(b.partBase(p) + phWrittenSeq)
 }
@@ -461,16 +464,14 @@ func (b *Buffer) ResetRequested(p int) bool {
 }
 
 // DoReset performs the arbiter's reset of partition p. Callers (GHUMVEE)
-// must have established that all slaves drained the partition.
+// must have established that all slaves drained the partition. Sequence
+// numbers and consumed counters stay cumulative; the new generation
+// restarts the data area at offset 0.
 func (b *Buffer) DoReset(p int) {
 	base := b.partBase(p)
 	b.seg.StoreU32(base+phWriteOff, 0)
-	b.seg.StoreU32(base+phWrittenSeq, 0)
 	b.seg.StoreU32(base+phGeneration, b.Generation(p)+1)
 	b.seg.StoreU32(base+phResetReq, 0)
-	for r := 0; r < b.nReplicas; r++ {
-		b.seg.StoreU32(base+phConsumed+uint64(r)*4, 0)
-	}
 }
 
 // align16 rounds n up to a 16-byte boundary.
@@ -556,7 +557,6 @@ func (w *Writer) Reserve(t *vkernel.Thread, c *vkernel.Call, flags uint32, inPay
 		b.seg.StoreU32(base+phResetReq, 1)
 		b.arbiter.ResetPartition(b, w.part)
 		w.gen = b.Generation(w.part)
-		w.seq = 0
 		w.off = 0
 		// Waiters blocked on writtenSeq must recheck the generation.
 		w.wakeFutex(t, base+phWrittenSeq)
@@ -903,14 +903,16 @@ func (r *Reader) Next(t *vkernel.Thread) (*EntryView, error) {
 			// The MVEE is tearing down (divergence shutdown); unwind.
 			return nil, ErrCorrupt
 		}
+		// Load writtenSeq before the generation: a publication past an
+		// arbiter reset implies the reset's generation store is visible,
+		// so the offset rewinds before the new entry is read.
+		ws := r.b.WrittenSeq(r.part)
 		if gen := r.b.Generation(r.part); gen != r.gen {
-			// Arbiter reset since our last read: restart the partition.
+			// Arbiter reset since our last read: the data area restarts.
 			r.gen = gen
-			r.seq = 0
 			r.off = 0
 		}
-		ws := r.b.WrittenSeq(r.part)
-		if ws > r.seq {
+		if d := ws - r.seq; d != 0 && d < 1<<31 {
 			break
 		}
 		// Park on the writtenSeq futex word (through this replica's own
@@ -1200,7 +1202,7 @@ func (b *Buffer) WaitDrained(p int, abort <-chan struct{}) {
 func (b *Buffer) Drained(p int) bool {
 	ws := b.WrittenSeq(p)
 	for rIdx := 1; rIdx < b.nReplicas; rIdx++ {
-		if b.ConsumedBy(p, rIdx) < ws {
+		if d := ws - b.ConsumedBy(p, rIdx); d != 0 && d < 1<<31 {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package rb
 
 import (
 	"testing"
+	"time"
 )
 
 // TestLagDistributionStats pins the PR 7 lag-distribution fields:
@@ -67,6 +68,15 @@ func TestLowWaterWaits(t *testing.T) {
 		}
 	}()
 
+	// Start the reader only once the writer is blocked on the window, so
+	// a reader that would keep pace on a loaded host cannot hide the wait.
+	deadline := time.Now().Add(10 * time.Second)
+	for e.buf.Stats().LagWaits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("writer never blocked on a full 4-entry window")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 	for i := 0; i < 12; i++ {
 		if _, err := r.NextRun(e.threads[1]); err != nil {
 			t.Fatal(err)

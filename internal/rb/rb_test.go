@@ -212,6 +212,59 @@ func TestOverflowResetRoundTrip(t *testing.T) {
 	}
 }
 
+// seqArbiter resets a drained partition and remembers the published
+// sequence it saw just before each reset.
+type seqArbiter struct{ before []uint32 }
+
+func (a *seqArbiter) ResetPartition(b *Buffer, part int) {
+	if !b.Drained(part) {
+		panic("seqArbiter: reset of an undrained partition")
+	}
+	a.before = append(a.before, b.WrittenSeq(part))
+	b.DoReset(part)
+}
+
+// TestResetNeverRepeatsWrittenSeq pins the lost wake-up fix for the
+// linear protocol: a slave parks with FUTEX_WAIT on the writtenSeq value
+// it last saw, so if a reset rewound the word and the master refilled
+// the partition to the same count, that compare would pass and the
+// slave would sleep through the overflow that follows. Sequence numbers
+// are cumulative; a reset rewinds only the write offset.
+func TestResetNeverRepeatsWrittenSeq(t *testing.T) {
+	arb := &seqArbiter{}
+	e := newRBEnv(t, 8*1024, 1, arb)
+	w := e.buf.NewWriter(0, e.mBase)
+	r := e.buf.NewReader(0, 1, e.sBase)
+
+	payload := make([]byte, 100)
+	refill := 0
+	for i := 0; len(arb.before) == 0 || refill < int(arb.before[0]); i++ {
+		call := &vkernel.Call{Num: vkernel.SysRead, Args: [6]uint64{uint64(i)}}
+		res, err := w.Reserve(e.master, call, FlagMasterCall, nil, 100)
+		if err != nil {
+			t.Fatalf("Reserve %d: %v", i, err)
+		}
+		res.Complete(e.master, uint64(i), 0, payload)
+		if len(arb.before) > 0 {
+			refill++
+		}
+		ev, err := r.Next(e.slave)
+		if err != nil {
+			t.Fatalf("Next %d: %v", i, err)
+		}
+		if ret, _, _ := ev.WaitResults(e.slave); int(ret) != i {
+			t.Fatalf("entry %d: ret=%d", i, ret)
+		}
+		ev.Consume()
+	}
+	if len(arb.before) != 1 {
+		t.Fatalf("%d resets, want exactly 1", len(arb.before))
+	}
+	if ws := e.buf.WrittenSeq(0); ws == arb.before[0] {
+		t.Fatalf("writtenSeq %d after a reset and a refill to the same count repeats its pre-reset value", ws)
+	}
+}
+
 func TestPartitionsIndependent(t *testing.T) {
 	e := newRBEnv(t, 1<<20, 4, nil)
 	w0 := e.buf.NewWriter(0, e.mBase)

@@ -87,6 +87,12 @@ func TestCloseReleasesSlaves(t *testing.T) {
 	<-done // must not hang
 }
 
+// TestLongSequenceReplay replays 500 lock/unlock pairs over three slave
+// threads. rr orders the turns it grants, not what a thread does after
+// its turn, so each slave records inside a real per-object critical
+// section bracketed by its OpLock and OpUnlock turns, as libc.Mutex
+// does: the next OpLock turn is granted only after the previous
+// holder's OpUnlock, which makes the recorded order the replayed one.
 func TestLongSequenceReplay(t *testing.T) {
 	log := NewLog()
 	master := NewAgent(log, true)
@@ -98,8 +104,10 @@ func TestLongSequenceReplay(t *testing.T) {
 	for i := 0; i < n; i++ {
 		want[i] = Event{LTID: i % 3, Obj: uint64(i % 5), Kind: OpLock}
 		master.Sync(mt, want[i].LTID, want[i].Obj, OpLock)
+		master.Sync(mt, want[i].LTID, want[i].Obj, OpUnlock)
 	}
 
+	var objs [5]sync.Mutex
 	var mu sync.Mutex
 	var got []Event
 	var wg sync.WaitGroup
@@ -113,10 +121,14 @@ func TestLongSequenceReplay(t *testing.T) {
 				if want[i].LTID != l {
 					continue
 				}
-				slave.Sync(th, l, want[i].Obj, OpLock)
+				obj := want[i].Obj
+				slave.Sync(th, l, obj, OpLock)
+				objs[obj].Lock()
 				mu.Lock()
-				got = append(got, Event{LTID: l, Obj: want[i].Obj, Kind: OpLock})
+				got = append(got, Event{LTID: l, Obj: obj, Kind: OpLock})
 				mu.Unlock()
+				slave.Sync(th, l, obj, OpUnlock)
+				objs[obj].Unlock()
 			}
 		}(ltid)
 	}

@@ -290,8 +290,8 @@ func (r *Registry) RegisterCollector(labels Labels, fn Collector) {
 
 // Sampler is the upsert surface handed to collectors at scrape time.
 type Sampler struct {
-	r      *Registry
-	labels Labels
+	r        *Registry
+	labels   Labels
 	rendered string
 }
 
