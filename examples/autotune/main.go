@@ -58,9 +58,8 @@ func main() {
 	defer ctl.Close()
 
 	// Mixed load until every shard's spatial policy is fully relaxed and
-	// a lag window has been granted (the window lands live at the next
-	// respawn — lockstep-booted replica sets cannot flip protocol mid-run,
-	// and this demo leaves RotateForLag off).
+	// a lag window has been granted (the window lands live on the serving
+	// replica set).
 	relaxed := func() bool {
 		for i := 0; i < 4; i++ {
 			if k := ctl.ShardKnobs(i); k.Level != policy.SocketRWLevel || k.MaxLag == 0 {

@@ -100,15 +100,15 @@ type Config struct {
 	// keeps immediate per-call verification). Virtual-time metrics are
 	// identical either way — only host-side monitor work is batched.
 	EpochSize int
-	// MaxLag enables the bounded master-ahead replication pipeline
-	// (DESIGN.md §9): the master completes checked, policy-batchable
-	// fast-path calls without waiting for slave consumption, staging up
-	// to rb.DefaultGroupCommit completed entries per writtenSeq
-	// release-store and running at most MaxLag entries ahead of the
-	// slowest slave's consumed counter; partition resets become
-	// double-buffered. 0 (the default) keeps the seed's lockstep
-	// publish-per-call protocol. Verdicts and per-replica results are
-	// bit-identical across settings; only host-side publication and
+	// MaxLag is the starting lag window of the replication buffer
+	// (DESIGN.md §9); MVEE.SetMaxLag changes it live. At N > 0 the master
+	// completes checked, policy-batchable fast-path calls without waiting
+	// for slave consumption, staging up to rb.DefaultGroupCommit
+	// completed entries per writtenSeq release-store and running at most
+	// N entries ahead of the slowest slave's consumed counter. 0 (the
+	// default) publishes every entry at Reserve. Overflow goes to the
+	// GHUMVEE arbiter at every window. Verdicts and per-replica results
+	// are bit-identical across settings; only host-side publication and
 	// waiting are batched.
 	MaxLag int
 	// OnVerdict, when set, is invoked exactly once if the monitor
@@ -164,8 +164,8 @@ type Report struct {
 	Monitor  ghumvee.Stats
 	Broker   ikb.Stats
 	IPMon    []ipmon.Stats
-	// RB snapshots the replication buffer's cumulative pipeline counters
-	// (wakes, group commits, flips, lag waits) — host-side figures.
+	// RB snapshots the replication buffer's cumulative counters (wakes,
+	// group commits, lag waits) — host-side figures.
 	RB rb.Stats
 }
 
@@ -276,7 +276,7 @@ func (m *MVEE) setupIPMon() error {
 	if err != nil {
 		return err
 	}
-	buf.SetPipeline(m.Cfg.MaxLag)
+	buf.SetMaxLag(m.Cfg.MaxLag)
 	m.rbuf.Store(buf)
 	m.Monitor.AttachRB(buf)
 	if m.Cfg.AblateAlwaysWake {
@@ -343,20 +343,22 @@ func (m *MVEE) SetPolicyLevel(l policy.Level) (*policy.Snapshot, error) {
 	return m.SetPolicy(policy.LevelRules(l))
 }
 
-// SetMaxLag adjusts the master-ahead lag window while traffic is live.
-// The pipeline protocol itself is fixed at construction (Config.MaxLag
-// 0 vs non-zero); on a non-pipelined instance an error is returned and
-// the caller applies the value at its next respawn instead.
+// SetMaxLag sets the master-ahead lag window while traffic is live; any
+// n >= 0 applies, 0 included.
 func (m *MVEE) SetMaxLag(n int) error {
 	buf := m.rbuf.Load()
 	if m.Cfg.Mode != ModeReMon || buf == nil {
 		return fmt.Errorf("core: SetMaxLag requires an active ReMon instance")
 	}
-	return buf.SetMaxLag(n)
+	if n < 0 {
+		return fmt.Errorf("core: negative lag window %d", n)
+	}
+	buf.SetMaxLag(n)
+	return nil
 }
 
-// MaxLag reports the live master-ahead lag window (0 = lockstep
-// publication).
+// MaxLag reports the live master-ahead lag window (0 = every entry
+// published at Reserve).
 func (m *MVEE) MaxLag() int {
 	buf := m.rbuf.Load()
 	if buf == nil {
@@ -383,8 +385,8 @@ func (m *MVEE) VirtualNow() model.Duration {
 	return maxT - m.baseTime
 }
 
-// RBStats snapshots the replication buffer's pipeline counters (zero
-// value outside ModeReMon).
+// RBStats snapshots the replication buffer's counters (zero value
+// outside ModeReMon).
 func (m *MVEE) RBStats() rb.Stats {
 	buf := m.rbuf.Load()
 	if buf == nil {
@@ -512,8 +514,8 @@ func (m *MVEE) runReplica(idx int, prog libc.Program) {
 			RBBase:    m.rbBases[idx],
 			Grantable: grantable,
 			// Hard barrier: any route to the CP monitor publishes this
-			// thread's staged group-commit entries first (master-ahead
-			// pipeline; no-op for slaves and non-pipelined buffers).
+			// thread's staged group-commit entries first (no-op for
+			// slaves and for streams with nothing staged).
 			Barrier: ip.FlushThread,
 		})
 		// The new registration syscall (§3.5): arguments carry the mask

@@ -172,7 +172,7 @@ func TestPipelineTamperEquivalence(t *testing.T) {
 	}
 }
 
-// TestPipelineCountersByMaxLag tells the two RB protocols apart by their
+// TestPipelineCountersByMaxLag tells lag windows apart by their
 // deterministic counters on a dense batchable workload (4 threads x 120
 // getpid): at MaxLag 0 every unmonitored call probes wake suppression
 // twice (reserve + complete) and nothing is group-committed; at MaxLag 64
@@ -214,8 +214,8 @@ func TestPipelineCountersByMaxLag(t *testing.T) {
 	}
 
 	lockstep, lockstepChecks := run(0)
-	if rb := lockstep.RB; rb.Flushes != 0 || rb.Batched != 0 || rb.Flips != 0 {
-		t.Fatalf("MaxLag 0 ran the pipeline: %+v", rb)
+	if rb := lockstep.RB; rb.Flushes != 0 || rb.Batched != 0 {
+		t.Fatalf("MaxLag 0 group-committed: %+v", rb)
 	}
 	if lockstepChecks < 1.9 {
 		t.Fatalf("MaxLag 0: %.3f wake checks/call, want ~2 (reserve + complete)", lockstepChecks)
@@ -232,8 +232,9 @@ func TestPipelineCountersByMaxLag(t *testing.T) {
 	}
 }
 
-// TestPipelineLiveLagReload: SetMaxLag adjusts the window mid-traffic;
-// a legacy (MaxLag 0) instance refuses, keeping the protocol fixed.
+// TestPipelineLiveLagReload: SetMaxLag adjusts the window between and
+// during runs, from any window to any other, 0 included; entries are
+// group-committed only while the window is above 0.
 func TestPipelineLiveLagReload(t *testing.T) {
 	m, err := core.New(core.Config{
 		Mode: core.ModeReMon, Replicas: 2, Policy: policy.SocketRWLevel, MaxLag: 8, Seed: 3,
@@ -264,12 +265,30 @@ func TestPipelineLiveLagReload(t *testing.T) {
 		t.Fatalf("pipeline counters flat after reload: %+v", rep.RB)
 	}
 
-	legacy, err := core.New(core.Config{Mode: core.ModeReMon, Replicas: 2, Policy: policy.SocketRWLevel, Seed: 4})
+	// An instance booted at 0 goes 0 -> 8 -> 0 live.
+	zero, err := core.New(core.Config{Mode: core.ModeReMon, Replicas: 2, Policy: policy.SocketRWLevel, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	if err := legacy.SetMaxLag(8); err == nil {
-		t.Fatal("legacy instance accepted a live pipeline enable")
+	defer zero.Close()
+	var batched uint64
+	for _, lag := range []int{0, 8, 0} {
+		if err := zero.SetMaxLag(lag); err != nil {
+			t.Fatal(err)
+		}
+		if got := zero.MaxLag(); got != lag {
+			t.Fatalf("MaxLag = %d after setting %d", got, lag)
+		}
+		rep := zero.Run(prog)
+		if rep.Verdict.Diverged {
+			t.Fatalf("MaxLag %d diverged: %s", lag, rep.Verdict.Reason)
+		}
+		if grew := rep.RB.Batched > batched; grew != (lag > 0) {
+			t.Fatalf("MaxLag %d: batched %d -> %d", lag, batched, rep.RB.Batched)
+		}
+		batched = rep.RB.Batched
+	}
+	if err := zero.SetMaxLag(-1); err == nil {
+		t.Fatal("SetMaxLag accepted a negative window")
 	}
 }

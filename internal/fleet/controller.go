@@ -39,7 +39,7 @@ type Knobs struct {
 	// IP-MON fast path).
 	Level policy.Level
 	// MaxLag is the master-ahead replication window (temporal
-	// relaxation; 0 = lockstep publication).
+	// relaxation; 0 = every entry published at Reserve). It applies live.
 	MaxLag int
 	// Epoch is the divergence-checking batch window (1 = immediate).
 	Epoch int
@@ -293,9 +293,8 @@ func (t *Tuner) Step(sig Signals) Decision {
 		reason = fmt.Sprintf("monitored frac %.2f: level -> %v", sig.MonitoredFrac, t.knobs.Level)
 	// Lag next: masters stalling on the lag budget (or running with no
 	// headroom) want a wider master-ahead window. 0 -> 8, then double.
-	// Lockstep publication (MaxLag 0) never reports lag waits — the
-	// master blocks inside the publish itself — so the bootstrap off 0
-	// is unconditional once the level axis is exhausted.
+	// MaxLag 0 has no lag budget and never reports lag waits, so the
+	// bootstrap off 0 is unconditional once the level axis is exhausted.
 	case (t.knobs.MaxLag == 0 || sig.LagWaitRate > 0 || sig.LagHeadroom < 0.25) && t.knobs.MaxLag < t.cfg.MaxMaxLag:
 		if t.knobs.MaxLag == 0 {
 			t.knobs.MaxLag = 8
@@ -358,16 +357,6 @@ type ControllerConfig struct {
 	// Interval is the host-time observation period (default 10ms — the
 	// virtual workloads burn host time fast).
 	Interval time.Duration
-	// RotateForLag lets the controller rotate (DrainShard) a shard whose
-	// replica set was booted at MaxLag 0 when the tuner wants a lag
-	// window: the lockstep publication protocol cannot flip live, so
-	// without rotation the new window only lands at the next organic
-	// respawn. The rotation is driven from the tuner's *standing grant*
-	// every round — not one-shot from a knob-change decision — so a
-	// rotation preempted by a verdict, or a grant that arrived while the
-	// shard was mid-respawn, retries until the window is live. Runs
-	// async, at most once in flight per shard.
-	RotateForLag bool
 	// SignalWindow is how many observation rounds the per-shard signal
 	// deltas span (default 4, via CounterWindow): rates fed to the tuner
 	// are windowed, so one quiet round does not erase sustained pressure
@@ -408,9 +397,6 @@ type shardLoop struct {
 	wakes *CounterWindow // RB.Wakes
 	lagW  *CounterWindow // RB.LagWaits
 	vns   *CounterWindow // VirtualNs
-	// rotating marks a RotateForLag drain in flight; guarded by the
-	// controller's mu on both set and clear.
-	rotating bool
 }
 
 func newShardLoop(cfg ControllerConfig, start Knobs, gen int) *shardLoop {
@@ -577,7 +563,6 @@ func (c *Controller) round() {
 		if dec.Changed {
 			c.actuate(idx, dec)
 		}
-		c.maybeRotateForLag(idx, loop)
 	}
 }
 
@@ -654,42 +639,4 @@ func (c *Controller) actuate(idx int, dec Decision) {
 	_ = c.f.SetShardPolicy(idx, policy.LevelRules(dec.Knobs.Level))
 	_ = c.f.SetShardEpoch(idx, dec.Knobs.Epoch)
 	_ = c.f.SetShardLag(idx, dec.Knobs.MaxLag)
-}
-
-// maybeRotateForLag rotates a lockstep-booted shard whose tuner holds a
-// standing lag grant. A shard booted at MaxLag 0 runs the lockstep
-// publication protocol, which cannot flip live — only a rotation
-// (drain + respawn at the recorded boot knobs) lands the window. Driving
-// the rotate from the grant state every round (rather than one-shot
-// from a Changed decision, the pre-PR-8 gap) means a rotation lost to a
-// concurrent verdict, a closing fleet, or a grant that arrived while
-// the shard was mid-respawn is retried until the window is actually
-// live. The in-flight flag is read and written under c.mu (the old
-// actuate-path read was unsynchronised against the goroutine's clear).
-func (c *Controller) maybeRotateForLag(idx int, loop *shardLoop) {
-	if !c.cfg.RotateForLag || loop.tuner.Knobs().MaxLag == 0 {
-		return
-	}
-	if st, _ := c.f.ShardState(idx); st != Serving {
-		return
-	}
-	live, err := c.f.ShardLag(idx)
-	if err != nil || live != 0 {
-		return
-	}
-	c.mu.Lock()
-	if loop.rotating {
-		c.mu.Unlock()
-		return
-	}
-	loop.rotating = true
-	c.mu.Unlock()
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		_ = c.f.DrainShard(idx)
-		c.mu.Lock()
-		loop.rotating = false
-		c.mu.Unlock()
-	}()
 }

@@ -247,15 +247,12 @@ func TestTunerStepDownHysteresis(t *testing.T) {
 	}
 }
 
-// TestControllerRotateLandsLagGrant: a fleet booted at MaxLag 0 runs
-// the lockstep publication protocol, which cannot flip live. With
-// RotateForLag the controller must notice the tuner's standing lag
-// grant and rotate the shard so the respawned replica set actually runs
-// the window — closing the gap where a one-shot rotate lost to timing
-// left the grant on paper forever.
-func TestControllerRotateLandsLagGrant(t *testing.T) {
+// TestControllerLagGrantLandsLive: on a fleet booted at MaxLag 0 the
+// tuner's lag grant must reach the serving replica set it was granted
+// to — no rotation, no respawn: the window lands at generation 0.
+func TestControllerLagGrantLandsLive(t *testing.T) {
 	cfg := quickCfg(2)
-	cfg.MaxLag = 0 // lockstep boot: the grant needs a rotation to land
+	cfg.MaxLag = 0
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -263,22 +260,20 @@ func TestControllerRotateLandsLagGrant(t *testing.T) {
 	defer f.Close()
 
 	ctl := f.StartController(ControllerConfig{
-		Interval:     2 * time.Millisecond,
-		RotateForLag: true,
-		Tuner:        TunerConfig{SLONsPerCall: 1, MinCalls: 16},
+		Interval: 2 * time.Millisecond,
+		Tuner:    TunerConfig{SLONsPerCall: 1, MinCalls: 16},
 	})
 	defer ctl.Close()
 
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 8, ThinkTime: model.Microsecond})
-		// The grant has landed when a *serving, rotated* replica set
-		// reports a live lag window. Mid-drain, ShardLag falls back to the
-		// boot record (already granted) — only the generation bump proves
-		// the pipelined protocol is actually running.
 		st, gen := f.ShardState(0)
+		if gen != 0 {
+			t.Fatalf("shard 0 respawned (gen %d) to land a lag grant; events: %+v", gen, ctl.Events())
+		}
 		lag, err := f.ShardLag(0)
-		if st == Serving && gen > 0 && err == nil && lag > 0 {
+		if st == Serving && err == nil && lag > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -205,8 +205,8 @@ type Config struct {
 	// MaxLag is each shard's master-ahead replication window
 	// (core.Config.MaxLag): how many checked, batchable fast-path calls
 	// a shard master may complete ahead of its slowest slave's
-	// consumption. 0 keeps lockstep publication. SetShardLag adjusts the
-	// window per shard while serving.
+	// consumption. 0 publishes every call's entry at once. SetShardLag
+	// adjusts the window per shard while serving.
 	MaxLag int
 
 	// DrainGrace bounds how long DrainShard waits for in-flight
@@ -339,8 +339,8 @@ type ShardInfo struct {
 	// engine snapshot's default; per-fd refinements are not summarised
 	// here).
 	Policy policy.Level
-	// MaxLag is the shard's master-ahead replication window (0 =
-	// lockstep publication).
+	// MaxLag is the shard's master-ahead replication window (0 = every
+	// entry published at once).
 	MaxLag int
 	// EpochSize is the shard monitor's divergence-checking window
 	// (1 = immediate verification).
@@ -406,8 +406,8 @@ type shard struct {
 	drainUntil time.Time
 	// maxLag is the master-ahead window the next buildShard boots with;
 	// a perf knob (not a security posture), so unlike level it survives
-	// divergence respawns. SetShardLag updates it and, when the live
-	// replica set runs the pipelined protocol, applies it immediately.
+	// divergence respawns. SetShardLag updates it and applies it to the
+	// live replica set immediately.
 	maxLag int
 	// epoch is the divergence-checking window the next buildShard boots
 	// with; like maxLag it is a perf knob and survives respawns.
@@ -900,10 +900,8 @@ func (f *Fleet) SetShardPolicy(idx int, rules policy.Rules) error {
 // SetShardLag adjusts a shard's master-ahead replication window while
 // it serves. The value is recorded as the shard's boot setting (it
 // survives respawns — lag is a performance knob, not a trust posture)
-// and, when the live replica set already runs the pipelined protocol,
-// applied immediately through the MVEE. A shard booted at MaxLag 0 runs
-// the legacy publish-per-call protocol, which cannot flip live — the
-// new window then takes effect at the shard's next respawn.
+// and applied to a serving or draining replica set immediately through
+// the MVEE; a shard between replica sets takes it at its next boot.
 func (f *Fleet) SetShardLag(idx, lag int) error {
 	s, err := f.shardAt(idx)
 	if err != nil {
@@ -917,7 +915,7 @@ func (f *Fleet) SetShardLag(idx, lag int) error {
 	mvee, st, gen := s.mvee, s.state.Load(), int(s.gen.Load())
 	s.mu.Unlock()
 	applied := "at next respawn"
-	if (st == Serving || st == Draining) && mvee != nil && lag > 0 {
+	if (st == Serving || st == Draining) && mvee != nil {
 		if err := mvee.SetMaxLag(lag); err == nil {
 			applied = "live"
 		}
@@ -929,9 +927,7 @@ func (f *Fleet) SetShardLag(idx, lag int) error {
 // SetShardEpoch adjusts a shard's divergence-checking window while it
 // serves. Like SetShardLag this is a performance knob, not a trust
 // posture: the value is recorded as the shard's boot setting (surviving
-// respawns) and applied to the live monitor immediately — epoch size is
-// runtime-adjustable, so unlike the lag window there is no
-// "at next respawn" case for a live shard.
+// respawns) and applied to the live monitor immediately.
 func (f *Fleet) SetShardEpoch(idx, n int) error {
 	s, err := f.shardAt(idx)
 	if err != nil {

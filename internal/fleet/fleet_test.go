@@ -396,9 +396,7 @@ func TestFleetSetShardPolicyLive(t *testing.T) {
 }
 
 // TestFleetSetShardLagLive: the master-ahead lag window is adjustable
-// per shard while it serves; a fleet booted at MaxLag 0 records the
-// value for the next respawn instead (the protocol is fixed per replica
-// set).
+// per shard while it serves, on a fleet booted at MaxLag 0 too.
 func TestFleetSetShardLagLive(t *testing.T) {
 	cfg := quickCfg(2)
 	cfg.MaxLag = 8
@@ -444,16 +442,51 @@ func TestFleetSetShardLagLive(t *testing.T) {
 		t.Fatal("SetShardLag accepted a negative window")
 	}
 
-	// Legacy fleet: the live install is deferred to the next respawn.
-	legacy, err := New(quickCfg(1))
+	// A fleet booted at MaxLag 0 takes a window live as well.
+	zero, err := New(quickCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	if err := legacy.SetShardLag(0, 16); err != nil {
+	defer zero.Close()
+	if err := zero.SetShardLag(0, 16); err != nil {
 		t.Fatal(err)
 	}
-	if lag, _ := legacy.ShardLag(0); lag != 0 {
-		t.Fatalf("legacy shard reports live lag %d; the window applies at respawn", lag)
+	if lag, _ := zero.ShardLag(0); lag != 16 {
+		t.Fatalf("shard booted at 0 reports live lag %d after SetShardLag(0, 16)", lag)
+	}
+}
+
+// TestSetShardLagZeroLandsLive: a window lowered to 0 — the tuner's
+// idle step-down from 8 — must reach the serving replica set, not only
+// the boot record: ShardLag and Stats read the live buffer's window,
+// and the set keeps serving without a respawn. (The shard program makes
+// no batchable call, so its group-commit counters read 0 at any window;
+// core.TestPipelineLiveLagReload pins that batching stops at 0.)
+func TestSetShardLagZeroLandsLive(t *testing.T) {
+	cfg := quickCfg(1)
+	cfg.MaxLag = 8
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	load := func() {
+		for _, o := range f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 16, ThinkTime: model.Microsecond}) {
+			if o.Errors != 0 {
+				t.Fatalf("errors under load: %+v", o)
+			}
+		}
+	}
+	load()
+	if err := f.SetShardLag(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if lag, err := f.ShardLag(0); err != nil || lag != 0 {
+		t.Fatalf("ShardLag = %d, %v after SetShardLag(0, 0); want 0 live", lag, err)
+	}
+	load()
+	st := f.Stats()
+	if sh := st.Shards[0]; sh.MaxLag != 0 || sh.State != Serving || sh.Gen != 0 {
+		t.Fatalf("shard after SetShardLag(0, 0) under load: %+v", sh)
 	}
 }

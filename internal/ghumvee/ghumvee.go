@@ -941,8 +941,8 @@ func (m *Monitor) ApproveRegistration(p *vkernel.Process, mask *vkernel.SyscallM
 // drained the partition, then reset it. The wait is driven by the RB's
 // drain notification, and teardown (divergence or administrative Stop)
 // interrupts it through the monitor's abort channel — both signalAbort
-// paths close it, so the old halted() polling is gone. Never invoked
-// under the double-buffered pipeline (writers flip halves themselves).
+// paths close it, so the old halted() polling is gone. Writers call it
+// at every lag window.
 func (m *Monitor) ResetPartition(b *rb.Buffer, part int) {
 	b.WaitDrained(part, m.abort)
 	b.DoReset(part)

@@ -384,14 +384,14 @@ func (ip *IPMon) masterPath(ctx *ikb.Context, h *Handler, st *ltState) vkernel.R
 	if blocking {
 		flags |= rb.FlagBlocking
 	}
-	// Master-ahead pipeline (DESIGN.md §9): a checked, policy-batchable,
+	// Under a lag window (DESIGN.md §9) a checked, policy-batchable,
 	// non-blocking call is completed without waiting for slave
 	// consumption — its entry is staged and published by the next group
 	// commit. Sensitive calls (blocking, descriptor-lifecycle, special
 	// handling) keep immediate publication so slaves overlap with the
 	// master's execution, and they flush the staged run first (inside
 	// Reserve) to preserve publication order.
-	if !blocking && st.w.Pipelined() && batchableFast(h.Desc, c.Num) {
+	if !blocking && ip.Buf.MaxLag() > 0 && batchableFast(h.Desc, c.Num) {
 		flags |= rb.FlagBatched
 	}
 
@@ -510,10 +510,10 @@ func batchableFast(d *sysdesc.Desc, nr int) bool {
 // CP monitor (rendezvous, signals-pending restarts, RB overflow
 // forwards) and the orchestrator invokes it at thread exit, so a slave
 // can always consume its stream up to any point where the replica set
-// synchronises. No-op on slave replicas, on non-pipelined buffers and
-// on streams with nothing staged.
+// synchronises. No-op on slave replicas and on streams with nothing
+// staged.
 func (ip *IPMon) FlushThread(t *vkernel.Thread) {
-	if ip.Replica != 0 || !ip.Buf.Pipelined() {
+	if ip.Replica != 0 {
 		return
 	}
 	ltid := 0

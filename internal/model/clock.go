@@ -6,9 +6,9 @@
 // performs it. Synchronisation points (lockstep rendezvous, futex wakes,
 // replication-buffer reads) propagate clock values so that a run's total
 // virtual duration — the maximum final clock over all threads — models the
-// critical path of a parallel execution. All results in EXPERIMENTS.md are
-// ratios of such durations, mirroring the paper's "normalized execution
-// time" metric.
+// critical path of a parallel execution. Every result that
+// `go run ./cmd/remon-bench -experiment all` prints is a ratio of such
+// durations, mirroring the paper's "normalized execution time" metric.
 package model
 
 import (

@@ -19,6 +19,12 @@
 //     never reused or reset (§3.7).
 //   - The master skips the FUTEX_WAKE when no slave is waiting (§3.7).
 //
+// One protocol serves every lag window (DESIGN.md §9). At MaxLag 0 the
+// master publishes each entry at Reserve, as the paper describes; at
+// MaxLag N it may also stage batchable entries and publish them in
+// group commits, running at most N entries ahead of the slowest slave.
+// Overflow goes to the arbiter at every window.
+//
 // The buffer is partitioned per logical thread so that multi-threaded
 // replicas replicate independently, mirroring "each replica thread only
 // reads and writes its own RB position".
@@ -96,17 +102,18 @@ const (
 	// futex (§3.7's two waiting strategies).
 	statusSpinLimit = 200
 
-	// DefaultGroupCommit is the pipelined writer's group-commit size: up
-	// to this many completed entries are staged before one writtenSeq
-	// release-store publishes the whole run (clamped to MaxLag).
+	// DefaultGroupCommit is the writer's group-commit size under a lag
+	// window: up to this many completed entries are staged before one
+	// writtenSeq release-store publishes the whole run (clamped to
+	// MaxLag).
 	DefaultGroupCommit = 8
-	// maxDrainRun bounds how many entries a pipelined reader claims per
-	// acquire-load (and therefore how long its consumed-counter store can
-	// be deferred).
+	// maxDrainRun bounds how many entries a reader claims per acquire-load
+	// (and therefore how long its consumed-counter store can be
+	// deferred).
 	maxDrainRun = 64
-	// lagRecheck bounds how stale a pipelined writer's abort/progress
-	// check can get while it waits for slave consumption; the drain
-	// notification channel provides the prompt wake.
+	// lagRecheck bounds how stale a writer's abort/progress check can get
+	// while it waits on the lag budget; the drain notification channel
+	// provides the prompt wake.
 	lagRecheck = 100 * time.Microsecond
 )
 
@@ -130,9 +137,10 @@ type Arbiter interface {
 	ResetPartition(b *Buffer, part int)
 }
 
-// Stats counts replication-buffer activity (pipelined mode; the legacy
-// per-call mode only feeds the wake counters). All counters are
-// host-side figures — they never touch virtual time.
+// Stats counts replication-buffer activity. Wakes and WakeChecks move at
+// every lag window; the group-commit and lag counters stay 0 at MaxLag
+// 0, where nothing is batched. All counters are host-side figures —
+// they never touch virtual time.
 type Stats struct {
 	// Wakes is the number of FUTEX_WAKE syscalls actually issued by
 	// writers; WakeChecks counts wake-suppression probes (§3.7).
@@ -142,25 +150,19 @@ type Stats struct {
 	// release-store each); Batched counts entries staged through them.
 	Flushes uint64
 	Batched uint64
-	// Flips counts double-buffered partition resets (the master switching
-	// to the spare half instead of blocking in WaitDrained).
-	Flips uint64
-	// LagWaits counts the times a writer hit the MaxLag budget (or a
-	// not-yet-drained spare half) and had to wait for slave consumption.
+	// LagWaits counts the times a writer hit the MaxLag budget and had to
+	// wait for slave consumption (resuming at the MaxLag/2 low-water
+	// mark). Overflow waits belong to the arbiter and are not counted.
 	LagWaits uint64
 
-	// Lag distribution (pipelined mode; fleet.Controller's inputs).
-	// CurLag is the live distance, in entries, between the most-ahead
-	// partition's published sequence and its slowest slave's acknowledged
-	// consumption — sampled at snapshot time, wrap-safe. HighWaterLag is
-	// the largest lag any writer observed at a group-commit publication.
-	// LowWaterWaits counts the LagWaits that were the MaxLag-budget
-	// hysteresis waits (resumed at the MaxLag/2 low-water mark), as
-	// opposed to generation-flip waits — a high ratio means the window
-	// itself, not buffer capacity, is the bottleneck.
-	CurLag        uint64
-	HighWaterLag  uint64
-	LowWaterWaits uint64
+	// Lag distribution (fleet.Controller's inputs). CurLag is the live
+	// distance, in entries, between the most-ahead partition's published
+	// sequence and its slowest slave's acknowledged consumption — sampled
+	// at snapshot time, wrap-safe, and only while a lag window is open
+	// (0 at MaxLag 0, where no reader uses it). HighWaterLag is the
+	// largest lag any writer observed at a group-commit publication.
+	CurLag       uint64
+	HighWaterLag uint64
 }
 
 // Emit reports the snapshot as (metric, value) pairs under the
@@ -171,44 +173,9 @@ func (s Stats) Emit(emit func(name string, v uint64)) {
 	emit("wake_checks_total", s.WakeChecks)
 	emit("flushes_total", s.Flushes)
 	emit("batched_total", s.Batched)
-	emit("flips_total", s.Flips)
 	emit("lag_waits_total", s.LagWaits)
-	emit("low_water_waits_total", s.LowWaterWaits)
 	emit("cur_lag", s.CurLag)
 	emit("high_water_lag", s.HighWaterLag)
-}
-
-// pipeState is the buffer-wide master-ahead pipeline configuration and
-// accounting (nil on legacy, publish-per-call buffers). The lag window
-// and the counters are monitor-side Go state — nothing here extends the
-// shared segment's attack surface.
-type pipeState struct {
-	maxLag atomic.Int32
-	// lagArmed[p] is raised while partition p's writer waits for slave
-	// consumption; consumers then ping the drain channel after their
-	// consumed-counter store.
-	lagArmed []atomic.Uint32
-
-	flushes  atomic.Uint64
-	batched  atomic.Uint64
-	flips    atomic.Uint64
-	lagWaits atomic.Uint64
-	// highWater is the largest publication-time lag any writer has
-	// observed (monotone CAS max); lowWaterWaits counts the lag-budget
-	// hysteresis waits within lagWaits.
-	highWater     atomic.Uint64
-	lowWaterWaits atomic.Uint64
-}
-
-// noteLag advances the high-water lag mark (monotone, CAS race-safe).
-func (pl *pipeState) noteLag(d uint32) {
-	v := uint64(d)
-	for {
-		hw := pl.highWater.Load()
-		if v <= hw || pl.highWater.CompareAndSwap(hw, v) {
-			return
-		}
-	}
 }
 
 // Buffer is the shared replication buffer.
@@ -221,21 +188,29 @@ type Buffer struct {
 	// alwaysWake disables §3.7's wake suppression (ablation knob): the
 	// master issues FUTEX_WAKE even when no slave waits.
 	alwaysWake bool
+	// maxLag is the live lag window (DESIGN.md §9): how many entries a
+	// writer may run ahead of its slowest slave. 0 publishes every entry
+	// at Reserve with no budget. The window and the counters below are
+	// monitor-side Go state — nothing here extends the shared segment's
+	// attack surface.
+	maxLag atomic.Int32
 	// drained carries one-shot per-partition notifications from slaves to
-	// the arbiter: during a reset window (ResetRequested set) the slave
-	// that consumes the last outstanding entry pings the channel, so the
-	// arbiter wakes immediately instead of sleep-polling. Pipelined
-	// writers reuse the same channel for their lag-window waits.
-	drained []chan struct{}
-	// pl is the master-ahead pipeline state; nil selects the legacy
-	// publish-per-call protocol (byte-identical to the pre-pipeline
-	// engine).
-	pl *pipeState
-	// wakeCtrs feed Stats in both modes (host-side only): one padded
-	// slot per partition, so each single-owner writer bumps its own
-	// cache line instead of all writers contending on one buffer-global
-	// RMW per call.
+	// the writer side: a consumer pings it after its consumed-counter
+	// store while the arbiter waits for a reset (ResetRequested) or the
+	// writer waits on the lag budget (lagArmed), so neither sleep-polls.
+	drained  []chan struct{}
+	lagArmed []atomic.Uint32
+	// wakeCtrs feed Stats (host-side only): one padded slot per
+	// partition, so each single-owner writer bumps its own cache line
+	// instead of all writers contending on one buffer-global RMW per call.
 	wakeCtrs []wakeCtr
+
+	flushes  atomic.Uint64
+	batched  atomic.Uint64
+	lagWaits atomic.Uint64
+	// highWater is the largest publication-time lag any writer has
+	// observed (monotone CAS max).
+	highWater atomic.Uint64
 }
 
 // wakeCtr is one partition writer's wake accounting, padded to a cache
@@ -249,90 +224,64 @@ type wakeCtr struct {
 // SetAlwaysWake toggles the wake-suppression ablation.
 func (b *Buffer) SetAlwaysWake(v bool) { b.alwaysWake = v }
 
-// SetPipeline enables the bounded master-ahead pipeline (DESIGN.md §9)
-// with the given lag window: writers group-commit completed entries and
-// run at most maxLag entries ahead of the slowest slave's consumed
-// counter, and partition resets become double-buffered. maxLag <= 0
-// keeps the legacy publish-per-call protocol. Call before any Writer or
-// Reader is created; the protocol choice is per buffer and cannot flip
-// while cursors exist (the two modes stamp sequence numbers
-// differently).
-func (b *Buffer) SetPipeline(maxLag int) {
-	if maxLag <= 0 {
-		b.pl = nil
-		return
-	}
-	pl := &pipeState{lagArmed: make([]atomic.Uint32, b.nParts)}
-	pl.maxLag.Store(int32(maxLag))
-	b.pl = pl
-}
+// MaxLag reports the live lag window (0 = every entry published at
+// Reserve).
+func (b *Buffer) MaxLag() int { return int(b.maxLag.Load()) }
 
-// Pipelined reports whether the master-ahead pipeline is active.
-func (b *Buffer) Pipelined() bool { return b.pl != nil }
-
-// MaxLag reports the live lag window (0 = legacy lockstep publication).
-func (b *Buffer) MaxLag() int {
-	if b.pl == nil {
-		return 0
+// SetMaxLag sets the lag window; it is safe while traffic is live. Any
+// n >= 0 applies at the writers' next Reserve (a negative n means 0).
+// Entries staged under a wider window are published by the next group
+// commit or barrier, whichever comes first.
+func (b *Buffer) SetMaxLag(n int) {
+	if n < 0 {
+		n = 0
 	}
-	return int(b.pl.maxLag.Load())
-}
-
-// SetMaxLag adjusts the lag window while traffic is live. The pipeline
-// protocol itself cannot be enabled or disabled after construction —
-// n is clamped to at least 1 and an error is returned on a legacy
-// buffer (the caller keeps the value for its next respawn instead).
-func (b *Buffer) SetMaxLag(n int) error {
-	if b.pl == nil {
-		return errors.New("rb: pipeline disabled at construction; the new lag window applies at the next respawn")
-	}
-	if n < 1 {
-		n = 1
-	}
-	b.pl.maxLag.Store(int32(n))
-	return nil
+	b.maxLag.Store(int32(n))
 }
 
 // groupCommit is the live group-commit size K: flush as soon as this
 // many completed entries are staged. Clamped so staging alone can never
 // exhaust the lag budget.
 func (b *Buffer) groupCommit() uint32 {
-	k := int32(DefaultGroupCommit)
-	if ml := b.pl.maxLag.Load(); ml < k {
-		k = ml
+	return uint32(max(min(b.maxLag.Load(), DefaultGroupCommit), 1))
+}
+
+// noteLag advances the high-water lag mark (monotone, CAS race-safe).
+func (b *Buffer) noteLag(d uint32) {
+	v := uint64(d)
+	for {
+		hw := b.highWater.Load()
+		if v <= hw || b.highWater.CompareAndSwap(hw, v) {
+			return
+		}
 	}
-	if k < 1 {
-		k = 1
-	}
-	return uint32(k)
 }
 
 // Stats snapshots the buffer counters.
 func (b *Buffer) Stats() Stats {
-	st := Stats{}
+	st := Stats{
+		Flushes:      b.flushes.Load(),
+		Batched:      b.batched.Load(),
+		LagWaits:     b.lagWaits.Load(),
+		HighWaterLag: b.highWater.Load(),
+	}
 	for i := range b.wakeCtrs {
 		st.Wakes += b.wakeCtrs[i].wakes.Load()
 		st.WakeChecks += b.wakeCtrs[i].checks.Load()
 	}
-	if b.pl != nil {
-		st.Flushes = b.pl.flushes.Load()
-		st.Batched = b.pl.batched.Load()
-		st.Flips = b.pl.flips.Load()
-		st.LagWaits = b.pl.lagWaits.Load()
-		st.HighWaterLag = b.pl.highWater.Load()
-		st.LowWaterWaits = b.pl.lowWaterWaits.Load()
+	if b.maxLag.Load() > 0 {
 		st.CurLag = uint64(b.curLag())
 	}
 	return st
 }
 
 // curLag samples the live lag: the worst (writtenSeq - consumed)
-// distance across partitions and slaves. Pipelined counters are
-// cumulative and wrap-safe; the read side loads writtenSeq before each
-// consumed counter, so a concurrent consume can make the distance
-// appear negative (wrapped huge) — such reads are clamped out. The
-// whole walk is atomic loads over the shared segment: zero allocations
-// (pinned by TestStatsZeroAlloc).
+// distance across partitions and slaves. Counters are cumulative and
+// wrap-safe; the read side loads writtenSeq before each consumed
+// counter, so a concurrent consume can make the distance appear
+// negative (wrapped huge) — such reads are clamped out. The whole walk
+// is atomic loads over the shared segment: zero allocations (pinned by
+// TestStatsZeroAlloc).
 func (b *Buffer) curLag() uint32 {
 	var worst uint32
 	for p := 0; p < b.nParts; p++ {
@@ -368,7 +317,8 @@ func New(seg *mem.SharedSegment, nReplicas, nParts int, arbiter Arbiter) (*Buffe
 		drained[i] = make(chan struct{}, 1)
 	}
 	return &Buffer{seg: seg, nReplicas: nReplicas, nParts: nParts, partSize: partSize,
-		arbiter: arbiter, drained: drained, wakeCtrs: make([]wakeCtr, nParts)}, nil
+		arbiter: arbiter, drained: drained, lagArmed: make([]atomic.Uint32, nParts),
+		wakeCtrs: make([]wakeCtr, nParts)}, nil
 }
 
 // Segment exposes the backing shared segment (the monitors map it).
@@ -384,12 +334,6 @@ func (b *Buffer) partBase(p int) uint64 {
 
 // dataCap is the payload capacity of one partition.
 func (b *Buffer) dataCap() uint64 { return b.partSize - partHeaderSize }
-
-// halfCap is the per-generation payload capacity in pipelined mode: the
-// partition's data area split into two 16-byte-aligned halves so two
-// generations can be in flight. Writers and readers must agree on this
-// value — it defines every pipelined entry offset.
-func (b *Buffer) halfCap() uint64 { return (b.dataCap() / 2) &^ 15 }
 
 // slice returns an aliased view of [off, off+n); offsets are internal, so
 // a violation is a bug, not an input error.
@@ -414,28 +358,14 @@ func (b *Buffer) SetSignalsPending(v bool) {
 // SignalsPending reads the flag.
 func (b *Buffer) SignalsPending() bool { return b.seg.LoadU32(0) != 0 }
 
-// partition header field offsets. The pipelined protocol reuses the two
-// words the legacy protocol leaves idle on its read side — phWriteOff
-// (only ever stored by DoReset, never loaded) and phResetReq (the
-// arbiter handshake, which double-buffered resets replace) — as the
-// per-half generation-start sequence numbers, so the 64-byte header
-// layout and every entry offset stay identical across modes.
+// partition header field offsets; each word has one meaning (DESIGN.md
+// §2). Word 0 is reserved: the write offset lives in the Writer.
 const (
-	phWriteOff   = 0 // pipelined: halfStart[0]
 	phWrittenSeq = 4
 	phGeneration = 8
-	phResetReq   = 12 // pipelined: halfStart[1]
+	phResetReq   = 12 // master waits on an arbiter reset
 	phConsumed   = 16 // nReplicas x u32
 )
-
-// halfStartOff is the header offset of half h's generation-start
-// sequence (pipelined mode).
-func halfStartOff(h uint32) uint64 {
-	if h == 0 {
-		return phWriteOff
-	}
-	return phResetReq
-}
 
 // ConsumedBy reports how many entries replica r has consumed in partition
 // p (cumulative across arbiter resets, wrapping).
@@ -469,7 +399,6 @@ func (b *Buffer) ResetRequested(p int) bool {
 // restarts the data area at offset 0.
 func (b *Buffer) DoReset(p int) {
 	base := b.partBase(p)
-	b.seg.StoreU32(base+phWriteOff, 0)
 	b.seg.StoreU32(base+phGeneration, b.Generation(p)+1)
 	b.seg.StoreU32(base+phResetReq, 0)
 }
@@ -485,8 +414,6 @@ type Writer struct {
 	// syscalls address the buffer through it. It never leaves the
 	// monitor.
 	base mem.Addr
-	gen  uint32
-	seq  uint32
 	off  uint64 // write offset within the partition data area
 	// polVer is the policy snapshot version stamped into each entry
 	// header: the master's IP-MON sets it before Reserve so slaves learn
@@ -497,14 +424,11 @@ type Writer struct {
 	// ~15 individually locked word writes per entry.
 	hdr [entryHeaderSize]byte
 
-	// Pipelined-mode cursor state (DESIGN.md §9). seq doubles as the
-	// cumulative reservation count (u32, wrapping); completed counts
-	// entries whose results are in place, published mirrors the last
-	// writtenSeq release-store, and genStart is the cumulative sequence
-	// at which the current generation (half) began.
-	completed uint32
+	// seq is the cumulative reservation count (u32, wrapping) and
+	// published mirrors the last writtenSeq release-store. At MaxLag 0
+	// published follows seq at every Reserve.
+	seq       uint32
 	published uint32
-	genStart  uint32
 }
 
 // SetPolicyVer sets the policy version stamped into subsequent entries.
@@ -527,42 +451,62 @@ type Reservation struct {
 	inAlign  uint64 // aligned input payload length (out payload offset)
 	outCap   int
 	seq      uint32
-	// batched: publication is deferred to the next group commit
-	// (pipelined mode; the entry carries FlagBatched).
+	// batched: publication is deferred to the next group commit (the
+	// entry carries FlagBatched).
 	batched bool
 }
 
 // Reserve allocates an entry for the given call. inPayload is the deep
 // copy of the input buffers (PRECALL's argument log); outCap reserves
 // space for the results (CALCSIZE). A nil error means the entry is
-// allocated and the arguments are published. ErrTooBig means the call
-// must be forwarded to GHUMVEE instead.
+// allocated and, unless flags carry FlagBatched, its arguments are
+// published. ErrTooBig means the call must be forwarded to GHUMVEE
+// instead. A FlagBatched entry is staged without publication until the
+// next group commit (DESIGN.md §9).
 //
 // t is the master thread (for virtual-time charging and futex wakes).
 func (w *Writer) Reserve(t *vkernel.Thread, c *vkernel.Call, flags uint32, inPayload []byte, outCap int) (Reservation, error) {
-	if w.b.pl != nil {
-		return w.reservePipelined(t, c, flags, inPayload, outCap)
-	}
+	b := w.b
 	inLen := uint64(len(inPayload))
 	need := align16(entryHeaderSize + align16(inLen) + uint64(outCap))
-	if need > w.b.dataCap() {
+	if need > b.dataCap() {
 		return Reservation{}, ErrTooBig
 	}
-	b := w.b
+	batched := flags&FlagBatched != 0
+	base := b.partBase(w.part)
+
+	// Publication order: an immediately-published entry may not overtake
+	// staged ones — writtenSeq covers a prefix.
+	if !batched {
+		w.Flush(t)
+	}
+
+	// Lag window: after this entry the master may be at most MaxLag
+	// entries ahead of the slowest slave's acknowledged consumption.
+	// High-water/low-water hysteresis: once the cap is hit, wait until
+	// half the window is free — a saturated stream then pays one wait
+	// per MaxLag/2 entries instead of one per entry, and each slave wake
+	// batch is amortised the same way. MaxLag 0 has no budget.
+	if maxLag := uint32(b.maxLag.Load()); maxLag > 0 && w.lag() >= maxLag {
+		w.Flush(t)
+		w.waitConsumed(t, w.seq+1-max(maxLag/2, 1))
+	}
+
 	// Overflow: request an arbiter reset and wait for it (§3.2). The
 	// master "waits for the slaves to consume the data already in the RB,
-	// after which it resets the RB" (§3.3) — the arbiter does both.
+	// after which it resets the RB" (§3.3) — the arbiter does both. The
+	// staged run is published first, or the arbiter would reset under
+	// entries no slave can see yet.
 	if w.off+need > b.dataCap() {
-		base := b.partBase(w.part)
+		w.Flush(t)
 		b.seg.StoreU32(base+phResetReq, 1)
 		b.arbiter.ResetPartition(b, w.part)
-		w.gen = b.Generation(w.part)
 		w.off = 0
 		// Waiters blocked on writtenSeq must recheck the generation.
 		w.wakeFutex(t, base+phWrittenSeq)
 	}
 
-	entryOff := b.partBase(w.part) + partHeaderSize + w.off
+	entryOff := base + partHeaderSize + w.off
 	// Stage the header in the scratch buffer. Result fields (retval,
 	// errno, resPub, outLen) are zeroed here and filled by Complete;
 	// status starts at 0 ("results pending").
@@ -580,7 +524,7 @@ func (w *Writer) Reserve(t *vkernel.Thread, c *vkernel.Call, flags uint32, inPay
 	}
 	le.PutUint32(hdr[offInLen:], uint32(inLen))
 	// One plain copy into the aliased view for header + input payload;
-	// the release-store of writtenSeq below publishes both.
+	// the release-store of writtenSeq publishes both.
 	dst := b.slice(entryOff, entryHeaderSize+align16(inLen))
 	copy(dst, hdr[:])
 	if inLen > 0 {
@@ -591,116 +535,22 @@ func (w *Writer) Reserve(t *vkernel.Thread, c *vkernel.Call, flags uint32, inPay
 	// Cache-coherence pressure: each additional replica consuming this
 	// entry costs the writer a line transfer (the memory-subsystem term
 	// the paper's evaluation attributes multi-replica slowdowns to).
-	t.Clock.Advance(model.Duration(w.b.nReplicas-1) * model.CostRBSharePerReplica)
-
-	res := Reservation{w: w, entryOff: entryOff, inAlign: align16(inLen), outCap: outCap, seq: w.seq}
-	w.off += need
-	w.seq++
-
-	// Publish the entry: release-store writtenSeq and wake slaves
-	// waiting for it.
-	base := b.partBase(w.part)
-	b.seg.StoreU32(base+phWrittenSeq, w.seq)
-	w.wakeFutex(t, base+phWrittenSeq)
-	return res, nil
-}
-
-// halfCap is the writer-side view of the buffer's per-generation
-// capacity.
-func (w *Writer) halfCap() uint64 { return w.b.halfCap() }
-
-// Pipelined reports whether this writer runs the master-ahead protocol.
-func (w *Writer) Pipelined() bool { return w.b.pl != nil }
-
-// reservePipelined is Reserve under the master-ahead pipeline: entries
-// carry cumulative (wrapping) sequence numbers, FlagBatched entries are
-// staged without publication until the next group commit, and a full
-// half flips to the spare one instead of invoking the arbiter. The
-// entry staging itself — header assembly, the single copy through the
-// aliased view, every virtual-time charge — is identical to the legacy
-// path.
-func (w *Writer) reservePipelined(t *vkernel.Thread, c *vkernel.Call, flags uint32, inPayload []byte, outCap int) (Reservation, error) {
-	b := w.b
-	inLen := uint64(len(inPayload))
-	need := align16(entryHeaderSize + align16(inLen) + uint64(outCap))
-	if need > w.halfCap() {
-		return Reservation{}, ErrTooBig
-	}
-	batched := flags&FlagBatched != 0
-	base := b.partBase(w.part)
-
-	// Publication order: an immediately-published entry may not overtake
-	// staged ones — writtenSeq covers a prefix.
-	if !batched {
-		w.Flush(t)
-	}
-
-	// Lag window: after this entry the master may be at most MaxLag
-	// entries ahead of the slowest slave's acknowledged consumption.
-	// High-water/low-water hysteresis: once the cap is hit, wait until
-	// half the window is free — a saturated stream then pays one wait
-	// per MaxLag/2 entries instead of one per entry, and each slave wake
-	// batch is amortised the same way.
-	maxLag := uint32(b.pl.maxLag.Load())
-	if w.lag() >= maxLag {
-		w.Flush(t)
-		low := maxLag / 2
-		if low == 0 {
-			low = 1
-		}
-		w.waitConsumed(t, w.seq+1-low, true)
-	}
-
-	// Overflow: flip to the spare half once every slave has left it (two
-	// generations in flight — the master blocks only when a slave is a
-	// full generation behind, never for the half it just filled).
-	if w.off+need > w.halfCap() {
-		w.Flush(t)
-		w.waitConsumed(t, w.genStart, false)
-		w.gen++
-		w.genStart = w.seq
-		b.seg.StoreU32(base+halfStartOff(w.gen&1), w.seq)
-		b.seg.StoreU32(base+phGeneration, w.gen)
-		w.off = 0
-		b.pl.flips.Add(1)
-	}
-
-	entryOff := base + partHeaderSize + uint64(w.gen&1)*w.halfCap() + w.off
-	hdr := &w.hdr
-	clear(hdr[:])
-	le.PutUint32(hdr[offSize:], uint32(need))
-	le.PutUint32(hdr[offNr:], uint32(c.Num))
-	le.PutUint32(hdr[offSeq:], w.seq)
-	le.PutUint32(hdr[offPolicyVer:], w.polVer)
-	le.PutUint32(hdr[offFlags:], flags)
-	le.PutUint32(hdr[offNArgs:], 6)
-	le.PutUint64(hdr[offArgsPub:], uint64(t.Clock.Now()))
-	for i := 0; i < 6; i++ {
-		le.PutUint64(hdr[offArgs+i*8:], c.Args[i])
-	}
-	le.PutUint32(hdr[offInLen:], uint32(inLen))
-	dst := b.slice(entryOff, entryHeaderSize+align16(inLen))
-	copy(dst, hdr[:])
-	if inLen > 0 {
-		copy(dst[offPayload:], inPayload)
-	}
-	t.Clock.Advance(model.RBCopyCost(entryHeaderSize + len(inPayload)))
-	t.Clock.Advance(model.Duration(w.b.nReplicas-1) * model.CostRBSharePerReplica)
+	t.Clock.Advance(model.Duration(b.nReplicas-1) * model.CostRBSharePerReplica)
 
 	res := Reservation{w: w, entryOff: entryOff, inAlign: align16(inLen), outCap: outCap, seq: w.seq, batched: batched}
 	w.off += need
 	w.seq++
 
 	if batched {
-		b.pl.batched.Add(1)
-	} else {
-		// Immediate publication (blocking / sensitive calls): argument
-		// visibility before execution, exactly like the legacy protocol,
-		// so slaves overlap their comparison with the master's call.
-		b.seg.StoreU32(base+phWrittenSeq, w.seq)
-		w.published = w.seq
-		w.wakeFutex(t, base+phWrittenSeq)
+		b.batched.Add(1)
+		return res, nil
 	}
+	// Immediate publication: release-store writtenSeq and wake slaves
+	// waiting for it, so they overlap their comparison with the master's
+	// call.
+	b.seg.StoreU32(base+phWrittenSeq, w.seq)
+	w.published = w.seq
+	w.wakeFutex(t, base+phWrittenSeq)
 	return res, nil
 }
 
@@ -719,22 +569,19 @@ func (w *Writer) lag() uint32 {
 
 // Flush publishes every staged entry with a single writtenSeq
 // release-store and at most one futex wake — the group commit. A no-op
-// when nothing staged is unpublished (including legacy mode, so barrier
+// when nothing staged is unpublished (always at MaxLag 0, so barrier
 // call sites need not branch).
 //
-// Flush publishes up to w.seq, not w.completed: on the group-commit
-// paths the two are equal (Complete flushes after completing, Reserve
-// flushes before staging), but a hard barrier can fire with a staged,
-// not-yet-completed reservation in flight — the master is being routed
-// to the CP monitor mid-call (e.g. the invalid-token fallback) and the
-// slave must be able to read that entry's arguments to mirror the
-// stream, exactly as the legacy protocol's publish-at-Reserve allowed.
-// Such an entry is published with status 0; its Complete then wakes the
-// status futex like an immediate entry's.
+// Flush publishes up to w.seq, not up to the last completed entry: on
+// the group-commit paths the two are equal (Complete flushes after
+// completing, Reserve flushes before staging), but a hard barrier can
+// fire with a staged, not-yet-completed reservation in flight — the
+// master is being routed to the CP monitor mid-call (e.g. the
+// invalid-token fallback) and the slave must be able to read that
+// entry's arguments to mirror the stream, exactly as publication at
+// Reserve would have allowed. Such an entry is published with status 0;
+// its Complete then wakes the status futex like an immediate entry's.
 func (w *Writer) Flush(t *vkernel.Thread) {
-	if w.b.pl == nil {
-		return
-	}
 	delta := w.seq - w.published
 	if delta == 0 || delta >= 1<<31 {
 		return
@@ -742,8 +589,8 @@ func (w *Writer) Flush(t *vkernel.Thread) {
 	base := w.b.partBase(w.part)
 	w.b.seg.StoreU32(base+phWrittenSeq, w.seq)
 	w.published = w.seq
-	w.b.pl.flushes.Add(1)
-	w.b.pl.noteLag(w.lag())
+	w.b.flushes.Add(1)
+	w.b.noteLag(w.lag())
 	w.wakeFutex(t, base+phWrittenSeq)
 }
 
@@ -752,17 +599,14 @@ func (w *Writer) Flush(t *vkernel.Thread) {
 // the recheck timer notices a missed notification. Consumers ping the
 // partition's drain channel after their consumed-counter store while
 // lagArmed is up.
-func (w *Writer) waitConsumed(t *vkernel.Thread, target uint32, lowWater bool) {
+func (w *Writer) waitConsumed(t *vkernel.Thread, target uint32) {
 	if w.consumedReached(target) {
 		return
 	}
-	pl := w.b.pl
-	pl.lagWaits.Add(1)
-	if lowWater {
-		pl.lowWaterWaits.Add(1)
-	}
-	pl.lagArmed[w.part].Store(1)
-	defer pl.lagArmed[w.part].Store(0)
+	b := w.b
+	b.lagWaits.Add(1)
+	b.lagArmed[w.part].Store(1)
+	defer b.lagArmed[w.part].Store(0)
 	tm := time.NewTimer(lagRecheck)
 	defer tm.Stop()
 	for !w.consumedReached(target) {
@@ -770,7 +614,7 @@ func (w *Writer) waitConsumed(t *vkernel.Thread, target uint32, lowWater bool) {
 			return
 		}
 		select {
-		case <-w.b.drained[w.part]:
+		case <-b.drained[w.part]:
 		case <-tm.C:
 			tm.Reset(lagRecheck)
 		}
@@ -810,7 +654,8 @@ func (r *Reservation) Complete(t *vkernel.Thread, ret uint64, errno vkernel.Errn
 	if len(outPayload) > r.outCap {
 		outPayload = outPayload[:r.outCap]
 	}
-	b := r.w.b
+	w := r.w
+	b := w.b
 	if len(outPayload) > 0 {
 		copy(b.slice(r.entryOff+offPayload+r.inAlign, uint64(len(outPayload))), outPayload)
 	}
@@ -824,24 +669,21 @@ func (r *Reservation) Complete(t *vkernel.Thread, ret uint64, errno vkernel.Errn
 	// rides the group commit's writtenSeq release-store, so no slave can
 	// be parked on it and the store needs no wake.
 	b.seg.StoreU32(r.entryOff+offStatus, 1)
-	if b.pl != nil {
-		r.w.completed = r.seq + 1
-		if r.batched {
-			if d := r.w.published - r.seq; d != 0 && d < 1<<31 {
-				// A hard barrier published this reservation before its
-				// results existed (Flush with an in-flight entry): a slave
-				// may be parked on the status word — wake it like an
-				// immediate entry's completion.
-				r.w.wakeFutex(t, r.entryOff+offStatus)
-				return
-			}
-			if r.w.completed-r.w.published >= b.groupCommit() {
-				r.w.Flush(t)
+	if r.batched {
+		if d := w.published - r.seq; d == 0 || d >= 1<<31 {
+			// Entries up to this one are complete: group-commit them once
+			// K are staged.
+			if r.seq+1-w.published >= b.groupCommit() {
+				w.Flush(t)
 			}
 			return
 		}
+		// A hard barrier published this reservation before its results
+		// existed (Flush with an in-flight entry): a slave may be parked
+		// on the status word — wake it like an immediate entry's
+		// completion.
 	}
-	r.w.wakeFutex(t, r.entryOff+offStatus)
+	w.wakeFutex(t, r.entryOff+offStatus)
 }
 
 // Reader is a slave-side per-logical-thread cursor.
@@ -853,11 +695,11 @@ type Reader struct {
 	gen     uint32
 	seq     uint32
 	off     uint64
-	// runLeft is the number of prefetched-run entries not yet consumed
-	// (pipelined mode): NextRun claims a contiguous run with one
-	// writtenSeq acquire-load, Next serves entries out of it without
-	// touching shared header words, and the consumed-counter store is
-	// issued once when the run is exhausted.
+	// runLeft is the number of claimed-run entries not yet consumed:
+	// NextRun claims a contiguous run with one writtenSeq acquire-load,
+	// Next serves entries out of it without touching shared header words,
+	// and the consumed-counter store is issued once when the run is
+	// exhausted.
 	runLeft uint32
 	// view is the reusable entry view Next hands out (one entry is in
 	// flight per cursor at a time, so consuming a new entry may recycle
@@ -890,37 +732,18 @@ type EntryView struct {
 }
 
 // Next blocks until the master publishes the next entry and returns its
-// view. The slave's clock syncs to the master's argument-publish time.
+// view, claiming a new run first when the previous one is exhausted. The
+// slave's clock syncs to the master's argument-publish time.
 //
 // The returned view is owned by the Reader and recycled on the next call.
 func (r *Reader) Next(t *vkernel.Thread) (*EntryView, error) {
-	if r.b.pl != nil {
-		return r.nextPipelined(t)
+	if r.runLeft == 0 {
+		if _, err := r.NextRun(t); err != nil {
+			return nil, err
+		}
 	}
-	base := r.b.partBase(r.part)
-	for {
-		if t.Exited() {
-			// The MVEE is tearing down (divergence shutdown); unwind.
-			return nil, ErrCorrupt
-		}
-		// Load writtenSeq before the generation: a publication past an
-		// arbiter reset implies the reset's generation store is visible,
-		// so the offset rewinds before the new entry is read.
-		ws := r.b.WrittenSeq(r.part)
-		if gen := r.b.Generation(r.part); gen != r.gen {
-			// Arbiter reset since our last read: the data area restarts.
-			r.gen = gen
-			r.off = 0
-		}
-		if d := ws - r.seq; d != 0 && d < 1<<31 {
-			break
-		}
-		// Park on the writtenSeq futex word (through this replica's own
-		// mapping address).
-		t.RawSyscall(vkernel.SysFutex, uint64(r.base+mem.Addr(base+phWrittenSeq)), vkernel.FutexWait, uint64(ws))
-	}
-	entryOff := base + partHeaderSize + r.off
-	// The acquire-load of writtenSeq above makes the master's staged
+	entryOff := r.b.partBase(r.part) + partHeaderSize + r.off
+	// The acquire-load of writtenSeq in NextRun makes the master's staged
 	// header visible; parse it straight out of the aliased view. Only
 	// argument-side fields are touched — the result fields (retval,
 	// errno, resPub, outLen, status) may be written concurrently by the
@@ -952,91 +775,37 @@ func (r *Reader) Next(t *vkernel.Thread) (*EntryView, error) {
 	return ev, nil
 }
 
-// nextPipelined serves the next entry out of the prefetched run,
-// claiming a new run first when the previous one is exhausted. Entry
-// parsing, virtual-time charges and the clock sync are identical to the
-// legacy path; what changes is that the shared header words (writtenSeq,
-// generation) are loaded once per run instead of once per entry.
-func (r *Reader) nextPipelined(t *vkernel.Thread) (*EntryView, error) {
-	if r.runLeft == 0 {
-		if _, err := r.NextRun(t); err != nil {
-			return nil, err
-		}
-	}
-	entryOff := r.b.partBase(r.part) + partHeaderSize + uint64(r.gen&1)*r.b.halfCap() + r.off
-	hdr := r.b.slice(entryOff, entryHeaderSize)
-	size := le.Uint32(hdr[offSize:])
-	if size < entryHeaderSize || uint64(size) > r.b.dataCap() {
-		return nil, ErrCorrupt
-	}
-	ev := &r.view
-	*ev = EntryView{
-		r:         r,
-		entryOff:  entryOff,
-		size:      size,
-		Nr:        int(le.Uint32(hdr[offNr:])),
-		Flags:     le.Uint32(hdr[offFlags:]),
-		InLen:     int(le.Uint32(hdr[offInLen:])),
-		PolicyVer: le.Uint32(hdr[offPolicyVer:]),
-	}
-	for i := 0; i < 6; i++ {
-		ev.Args[i] = le.Uint64(hdr[offArgs+i*8:])
-	}
-	if le.Uint32(hdr[offSeq:]) != r.seq {
-		return nil, ErrCorrupt
-	}
-	t.Clock.Advance(model.CostRBReadBase)
-	t.Clock.SyncTo(model.Duration(le.Uint64(hdr[offArgsPub:])))
-	return ev, nil
-}
-
 // NextRun blocks until the master publishes at least one entry this
 // reader has not consumed and claims a contiguous run of them — one
 // writtenSeq acquire-load covers the whole run, and the consumed-counter
-// store is deferred until the run is drained. The run never crosses a
-// generation (half) boundary. It returns the run length; Next serves
-// the individual views. Only meaningful in pipelined mode.
+// store is deferred until the run is drained. It returns the run length;
+// Next serves the individual views. A run never spans an arbiter reset:
+// the reset waits for every consumed counter, and a reader stores its
+// counter only once its run is drained.
 func (r *Reader) NextRun(t *vkernel.Thread) (int, error) {
-	if r.b.pl == nil {
-		return 0, errors.New("rb: NextRun requires the pipelined protocol")
-	}
 	if r.runLeft > 0 {
 		return int(r.runLeft), nil
 	}
 	base := r.b.partBase(r.part)
 	for {
 		if t.Exited() {
+			// The MVEE is tearing down (divergence shutdown); unwind.
 			return 0, ErrCorrupt
 		}
 		// Acquire: the writtenSeq load orders every published entry's
 		// header, payload and (for batched entries) results before the
-		// parses that follow.
+		// parses that follow. It comes before the generation load, so a
+		// publication past an arbiter reset implies the reset's generation
+		// store is visible and the offset rewinds before the entry is read.
 		ws := r.b.seg.LoadU32(base + phWrittenSeq)
-		gm := r.b.seg.LoadU32(base + phGeneration)
-		bound := ws
-		if gm != r.gen {
-			// The master moved on: this generation's final sequence is the
-			// start of the one occupying the other half. The word is stable
-			// — the master cannot reclaim that half again before this
-			// reader's own consumed counter passes the boundary.
-			bound = r.b.seg.LoadU32(base + halfStartOff((r.gen+1)&1))
-			if bound == r.seq {
-				// Generation fully consumed: flip to the other half.
-				r.gen++
-				r.off = 0
-				continue
-			}
+		if gen := r.b.seg.LoadU32(base + phGeneration); gen != r.gen {
+			// Arbiter reset since our last run: the data area restarts.
+			r.gen = gen
+			r.off = 0
 		}
-		avail := bound - r.seq
-		if pub := ws - r.seq; pub < avail {
-			avail = pub
-		}
-		if avail != 0 && avail < 1<<31 {
-			if avail > maxDrainRun {
-				avail = maxDrainRun
-			}
-			r.runLeft = avail
-			return int(avail), nil
+		if avail := ws - r.seq; avail != 0 && avail < 1<<31 {
+			r.runLeft = min(avail, maxDrainRun)
+			return int(r.runLeft), nil
 		}
 		// Nothing published for us yet: park on the writtenSeq futex word
 		// (through this replica's own mapping address).
@@ -1129,34 +898,23 @@ func (ev *EntryView) WaitResults(t *vkernel.Thread) (ret uint64, errno vkernel.E
 	return ret, errno, out
 }
 
-// Consume advances past the entry and publishes this replica's progress
-// (its own consumed slot only — no read-write sharing). During a reset
-// window the consumer that drains the partition pings the arbiter; the
-// ResetRequested check keeps the common path notification-free.
-//
-// Pipelined mode defers the consumed-counter store to the end of the
-// prefetched run (one store per run), and pings the drain channel only
-// while the partition's writer has armed a lag wait.
+// Consume advances past the entry. The consumed-counter store — this
+// replica's own slot only, no read-write sharing — is issued once the
+// claimed run is drained. It then pings the drain channel when the
+// writer waits on the lag budget, or when an arbiter reset is pending
+// and this store drained the partition; the common path stays
+// notification-free.
 func (ev *EntryView) Consume() {
 	r := ev.r
 	r.off += uint64(ev.size)
 	r.seq++
-	b := r.b
-	if b.pl != nil {
-		r.runLeft--
-		if r.runLeft == 0 {
-			b.seg.StoreU32(b.partBase(r.part)+phConsumed+uint64(r.replica)*4, r.seq)
-			if b.pl.lagArmed[r.part].Load() != 0 {
-				select {
-				case b.drained[r.part] <- struct{}{}:
-				default:
-				}
-			}
-		}
+	r.runLeft--
+	if r.runLeft > 0 {
 		return
 	}
+	b := r.b
 	b.seg.StoreU32(b.partBase(r.part)+phConsumed+uint64(r.replica)*4, r.seq)
-	if b.ResetRequested(r.part) && b.Drained(r.part) {
+	if b.lagArmed[r.part].Load() != 0 || (b.ResetRequested(r.part) && b.Drained(r.part)) {
 		select {
 		case b.drained[r.part] <- struct{}{}:
 		default:
@@ -1165,21 +923,14 @@ func (ev *EntryView) Consume() {
 }
 
 // WaitDrained blocks until every slave has drained partition p or abort
-// is closed. Drain notifications from consumers provide the prompt wake
-// and the abort channel makes teardown event-driven — the arbiter no
-// longer wakes every 100µs just to poll an abort predicate. One pooled
-// timer (re-armed, never reallocated) remains as the safety net for the
-// narrow race where a consumer's last store lands between the initial
-// Drained check and the reset request becoming visible to it (its ping
-// is skipped, so the notification is a hint, not a guarantee).
-//
-// Under the double-buffered pipeline the arbiter drain protocol stands
-// down entirely: writers flip to the spare half themselves and wait on
-// consumed counters directly (Writer.waitConsumed).
+// is closed (a nil abort never fires). Drain notifications from
+// consumers provide the prompt wake and the abort channel makes teardown
+// event-driven. One pooled timer (re-armed, never reallocated) remains
+// as the safety net for the narrow race where a consumer's last store
+// lands between the initial Drained check and the reset request
+// becoming visible to it (its ping is skipped, so the notification is a
+// hint, not a guarantee).
 func (b *Buffer) WaitDrained(p int, abort <-chan struct{}) {
-	if b.pl != nil {
-		return
-	}
 	if b.Drained(p) {
 		return
 	}

@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// TestLagDistributionStats pins the PR 7 lag-distribution fields:
-// CurLag tracks the live published-minus-consumed distance,
-// HighWaterLag records the worst lag any group commit published into,
-// and LowWaterWaits counts only the MaxLag-budget hysteresis waits.
+// TestLagDistributionStats pins the lag-distribution fields: CurLag
+// tracks the live published-minus-consumed distance and HighWaterLag
+// records the worst lag any group commit published into.
 func TestLagDistributionStats(t *testing.T) {
 	e := newPipeEnv(t, 1<<20, 1, 2, 16)
 	w := e.buf.NewWriter(0, e.bases[0])
@@ -47,10 +46,8 @@ func TestLagDistributionStats(t *testing.T) {
 	}
 }
 
-// TestLowWaterWaits separates the lag-budget hysteresis waits from
-// generation-flip waits: a master publishing into a full MaxLag window
-// waits at the low-water mark and is counted; the overall LagWaits
-// counter includes both kinds.
+// TestLowWaterWaits: a master publishing into a full MaxLag window waits
+// for the low-water mark, and each such wait is counted in LagWaits.
 func TestLowWaterWaits(t *testing.T) {
 	// MaxLag 4, group commit forced per-entry by flushing explicitly.
 	e := newPipeEnv(t, 1<<20, 1, 2, 4)
@@ -86,12 +83,6 @@ func TestLowWaterWaits(t *testing.T) {
 	<-done
 
 	st := e.buf.Stats()
-	if st.LowWaterWaits == 0 {
-		t.Fatalf("no low-water waits recorded against a saturated window: %+v", st)
-	}
-	if st.LowWaterWaits > st.LagWaits {
-		t.Fatalf("LowWaterWaits %d exceeds LagWaits %d", st.LowWaterWaits, st.LagWaits)
-	}
 	if st.HighWaterLag < 4 {
 		t.Fatalf("HighWaterLag = %d with a window of 4 kept full, want >= 4", st.HighWaterLag)
 	}

@@ -11,7 +11,7 @@ import (
 	"remon/internal/vkernel"
 )
 
-// pipeEnv is an n-replica pipelined-buffer harness.
+// pipeEnv is an n-replica harness over a buffer with a lag window.
 type pipeEnv struct {
 	k       *vkernel.Kernel
 	threads []*vkernel.Thread // [0] = master
@@ -45,7 +45,7 @@ func newPipeEnv(t *testing.T, segSize uint64, parts, replicas, maxLag int) *pipe
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.SetPipeline(maxLag)
+	buf.SetMaxLag(maxLag)
 	e.buf = buf
 	return e
 }
@@ -124,7 +124,7 @@ func TestPipelineGroupCommit(t *testing.T) {
 
 // TestPipelineImmediatePublication: a non-batchable entry flushes the
 // staged run first (publication order) and is visible before its
-// results, exactly like the legacy protocol.
+// results, exactly like an entry published at MaxLag 0.
 func TestPipelineImmediatePublication(t *testing.T) {
 	e := newPipeEnv(t, 1<<20, 1, 2, 16)
 	w := e.buf.NewWriter(0, e.bases[0])
@@ -165,37 +165,61 @@ func TestPipelineImmediatePublication(t *testing.T) {
 	ev.Consume()
 }
 
-// TestPipelineDoubleBufferedFlip drives enough entries through a tiny
-// partition that the writer flips halves repeatedly; readers must see
-// every entry in order across generations, and the arbiter must never
-// be involved.
-func TestPipelineDoubleBufferedFlip(t *testing.T) {
+// drainingArbiter is a single-goroutine arbiter: before each reset it
+// drains every published entry through the test's readers, so an
+// overflow test needs no scheduling.
+type drainingArbiter struct {
+	drain  func()
+	resets int
+}
+
+func (a *drainingArbiter) ResetPartition(b *Buffer, part int) {
+	a.drain()
+	if !b.Drained(part) {
+		panic("drainingArbiter: partition not drained after draining every published entry")
+	}
+	b.DoReset(part)
+	a.resets++
+}
+
+// TestPipelineOverflowUnderLagWindow drives batched entries through a
+// tiny partition under a lag window, so the writer overflows with a
+// staged, unpublished run in hand. The overflow must publish that run
+// before the arbiter resets: otherwise the reset reclaims entries no
+// slave has seen and the readers below lose them. Readers drain
+// synchronously (after each write and inside the arbiter), so every
+// overflow happens with 31 mod 8 = 7 entries staged.
+func TestPipelineOverflowUnderLagWindow(t *testing.T) {
 	const n = 400
-	// Tiny segment: the partition's halves hold only a few 128-byte
-	// entries each.
+	// 4 KiB segment: a 3968-byte data area holds 31 128-byte entries.
 	e := newPipeEnv(t, 4096, 1, 3, 8)
 	w := e.buf.NewWriter(0, e.bases[0])
-
-	var wg sync.WaitGroup
-	for rep := 1; rep <= 2; rep++ {
-		rep := rep
-		r := e.buf.NewReader(0, rep, e.bases[rep])
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				drainOne(t, r, e.threads[rep], i)
+	readers := []*Reader{e.buf.NewReader(0, 1, e.bases[1]), e.buf.NewReader(0, 2, e.bases[2])}
+	drain := func() {
+		for i, r := range readers {
+			for r.seq != e.buf.WrittenSeq(0) {
+				drainOne(t, r, e.threads[i+1], int(r.seq))
 			}
-		}()
+		}
 	}
+	arb := &drainingArbiter{drain: drain}
+	e.buf.arbiter = arb
 	for i := 0; i < n; i++ {
 		reserveBatched(t, w, e.threads[0], i)
+		drain()
 	}
 	w.Flush(e.threads[0])
-	wg.Wait()
-	st := e.buf.Stats()
-	if st.Flips == 0 {
-		t.Fatalf("no double-buffered flips: %+v", st)
+	drain()
+	if arb.resets < n/31-1 {
+		t.Fatalf("%d arbiter resets for %d entries of a 31-entry partition", arb.resets, n)
+	}
+	for i, r := range readers {
+		if r.seq != n {
+			t.Fatalf("replica %d consumed %d of %d entries", i+1, r.seq, n)
+		}
+	}
+	if st := e.buf.Stats(); st.Batched != n || st.LagWaits != 0 {
+		t.Fatalf("stats = %+v; want %d batched and no lag waits (readers keep up)", st, n)
 	}
 }
 
@@ -228,25 +252,37 @@ func TestPipelineLagBound(t *testing.T) {
 	}
 }
 
+// waitArbiter is GHUMVEE's reset protocol without GHUMVEE: wait on the
+// drain notifications, then reset.
+type waitArbiter struct{ resets int }
+
+func (a *waitArbiter) ResetPartition(b *Buffer, part int) {
+	b.WaitDrained(part, nil)
+	b.DoReset(part)
+	a.resets++
+}
+
 // TestPipelineWraparound forces the cumulative u32 sequence numbers past
-// math.MaxUint32: readers, lag accounting and policy-version pinning
-// must survive the wrap (offPolicyVer stamping is positional, so a
-// version installed mid-wrap must surface exactly once at its entry).
+// math.MaxUint32 while arbiter resets rewind the tiny partition:
+// readers, lag accounting and policy-version pinning must survive the
+// wrap (offPolicyVer stamping is positional, so a version installed
+// mid-wrap must surface exactly once at its entry).
 func TestPipelineWraparound(t *testing.T) {
 	const n = 300
 	start := uint32(math.MaxUint32 - 40) // wraps inside the run
-	e := newPipeEnv(t, 4096, 1, 3, 8)    // tiny halves: flips across the wrap too
+	e := newPipeEnv(t, 4096, 1, 3, 8)    // 31 entries per generation: resets across the wrap too
+	arb := &waitArbiter{}
+	e.buf.arbiter = arb
 	w := e.buf.NewWriter(0, e.bases[0])
 
 	// Seed the cumulative counters as if the stream had been running
 	// since just below the wrap point.
 	base := e.buf.partBase(0)
 	e.buf.seg.StoreU32(base+phWrittenSeq, start)
-	e.buf.seg.StoreU32(base+halfStartOff(0), start)
 	for rep := 1; rep <= 2; rep++ {
 		e.buf.seg.StoreU32(base+phConsumed+uint64(rep)*4, start)
 	}
-	w.seq, w.completed, w.published, w.genStart = start, start, start, start
+	w.seq, w.published = start, start
 
 	const verSwitch = 100 // entry index at which the policy pin advances
 	var wg sync.WaitGroup
@@ -299,12 +335,12 @@ func TestPipelineWraparound(t *testing.T) {
 	if ws := e.buf.WrittenSeq(0); ws != wantSeq {
 		t.Fatalf("writtenSeq = %d, want wrapped %d", ws, wantSeq)
 	}
-	if st := e.buf.Stats(); st.Flips == 0 {
-		t.Fatalf("wraparound run never flipped: %+v", st)
+	if arb.resets < 2 {
+		t.Fatalf("wraparound run saw %d arbiter resets, want several", arb.resets)
 	}
 }
 
-// TestWaitDrainedAbortChannel: the legacy arbiter wait must return
+// TestWaitDrainedAbortChannel: the arbiter wait must return
 // promptly when the abort channel closes, without waiting for a drain
 // that will never come.
 func TestWaitDrainedAbortChannel(t *testing.T) {

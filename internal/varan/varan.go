@@ -16,7 +16,6 @@ package varan
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"remon/internal/fdmap"
 	"remon/internal/ipmon"
@@ -62,9 +61,7 @@ type Report struct {
 type selfArbiter struct{}
 
 func (selfArbiter) ResetPartition(b *rb.Buffer, part int) {
-	for !b.Drained(part) {
-		time.Sleep(10 * time.Microsecond)
-	}
+	b.WaitDrained(part, nil)
 	b.DoReset(part)
 }
 

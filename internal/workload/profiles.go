@@ -48,8 +48,9 @@ type Profile struct {
 	ComputePerCall model.Duration
 	// Fractions over classes (sums to 1).
 	Fractions [NumClasses]float64
-	// Paper targets for EXPERIMENTS.md comparison: normalized execution
-	// time without IP-MON and with IP-MON (the figure's two/six bars).
+	// Paper targets that `go run ./cmd/remon-bench -experiment all`
+	// prints next to its own figures: normalized execution time without
+	// IP-MON and with IP-MON (the figure's two/six bars).
 	PaperNoIPMon float64
 	PaperIPMon   map[string]float64 // level name -> normalized time
 }
