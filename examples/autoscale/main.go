@@ -1,5 +1,6 @@
 // Autoscale: the elastic fleet demo. Two MVEE shards boot behind the
-// virtual balancer with fleet.Autoscaler watching the admission plane.
+// virtual balancer with the fleet's control loop running the pool
+// Scaler over the admission plane.
 // A surge campaign offers a 10x open-loop connection burst — far over
 // the boot pool's slots — and kills a shard mid-scale-up for good
 // measure. The autoscaler grows the pool to the MaxShards clamp (the
@@ -59,8 +60,8 @@ func main() {
 	f := newFleet()
 	defer f.Close()
 
-	as := f.StartAutoscaler(fleet.AutoscalerConfig{
-		Scaler: fleet.ScalerConfig{
+	as := f.StartControl(fleet.ControlConfig{
+		Scaler: &fleet.ScalerConfig{
 			MinShards: 2, MaxShards: 4,
 			AdmitWaitHigh: 4,
 			UpRounds:      2, DownRounds: 6,
@@ -84,6 +85,9 @@ func main() {
 		rep.PeakServing, rep.FinalServing, rep.AdmitP(0.99).Round(100*time.Microsecond))
 	if v := rep.Violations(); len(v) > 0 {
 		log.Fatalf("invariants violated: %v", v)
+	}
+	if rep.Lost() != 0 {
+		log.Fatalf("%d requests lost under the surge", rep.Lost())
 	}
 
 	fmt.Println("-- pool trajectory (serving-count changes):")

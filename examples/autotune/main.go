@@ -1,13 +1,12 @@
 // Autotune: the self-tuning fleet demo. Four MVEE shards boot at the
-// conservative corner — BASE policy, lockstep publication (MaxLag 0),
-// per-call verification (epoch 1) — and serve mixed client load while
-// fleet.Controller watches each shard's telemetry deltas against a
-// virtual-time SLO and relaxes one knob per round through the live
-// reload paths. Once the fleet has converged to a relaxed steady state,
-// one shard's master replica is compromised: the divergence verdict
-// preempts the SLO loop, the supervisor respawns the shard at the
-// conservative posture, and the controller's tuner snaps back with it
-// and holds. The telemetry plane itself is exercised over the fleet's
+// conservative BASE policy and serve mixed client load while the
+// fleet's control loop runs a tuner per shard: it watches the shard's
+// telemetry deltas against a virtual-time SLO and relaxes the policy
+// level one step per round through the live reload path. Once every
+// shard is fully relaxed, one shard's master replica is compromised:
+// the divergence verdict preempts the SLO loop, the supervisor respawns
+// the shard at BASE, and the shard's tuner snaps back with it and
+// holds. The telemetry plane itself is exercised over the fleet's
 // own virtual network: the demo scrapes /metrics and /health mid-run.
 //
 //	go run ./examples/autotune
@@ -32,8 +31,7 @@ func main() {
 		Replicas:        2,
 		RequestSize:     64,
 		ResponseSize:    256,
-		Policy:          &base, // conservative corner: BASE / lag 0 / epoch 1
-		EpochSize:       1,
+		Policy:          &base,
 		LockstepTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -47,22 +45,20 @@ func main() {
 	}
 	defer exp.Close()
 
-	fmt.Println("== fleet up: 4 shards at the conservative corner (BASE / MaxLag 0 / epoch 1) ==")
+	fmt.Println("== fleet up: 4 shards at BASE ==")
 
-	ctl := f.StartController(fleet.ControllerConfig{
+	ctl := f.StartControl(fleet.ControlConfig{
 		Interval: 2 * time.Millisecond,
 		// An aggressive virtual-time SLO: this workload can't meet it at
-		// the conservative corner, so the controller climbs the ladder.
-		Tuner: fleet.TunerConfig{SLONsPerCall: 1, MinCalls: 16},
+		// BASE, so the tuner climbs the ladder.
+		Tuner: &fleet.TunerConfig{SLONsPerCall: 1, MinCalls: 16},
 	})
 	defer ctl.Close()
 
-	// Mixed load until every shard's spatial policy is fully relaxed and
-	// a lag window has been granted (the window lands live on the serving
-	// replica set).
+	// Mixed load until every shard's spatial policy is fully relaxed.
 	relaxed := func() bool {
 		for i := 0; i < 4; i++ {
-			if k := ctl.ShardKnobs(i); k.Level != policy.SocketRWLevel || k.MaxLag == 0 {
+			if lv, _ := ctl.ShardLevel(i); lv != policy.SocketRWLevel {
 				return false
 			}
 		}
@@ -76,7 +72,7 @@ func main() {
 		f.DriveClients(fleet.DriveConfig{Conns: 8, RequestsPerConn: 8, ThinkTime: model.Microsecond})
 	}
 
-	fmt.Println("-- controller relaxed every shard; decision log (first steps of shard 0):")
+	fmt.Println("-- controller relaxed every shard; decision log (shard 0):")
 	seen := 0
 	for _, ev := range ctl.Events() {
 		if ev.Shard == 0 {
@@ -87,8 +83,8 @@ func main() {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		k := ctl.ShardKnobs(i)
-		fmt.Printf("   shard %d now at %v / lag %d / epoch %d\n", i, k.Level, k.MaxLag, k.Epoch)
+		lv, _ := ctl.ShardLevel(i)
+		fmt.Printf("   shard %d now at %v\n", i, lv)
 	}
 
 	// The plane under observation: scrape the fleet's own front network.
@@ -99,7 +95,7 @@ func main() {
 	fmt.Println("-- /metrics over vnet (excerpt):")
 	for _, line := range strings.Split(string(res.Body), "\n") {
 		if strings.HasPrefix(line, "remon_shard_state") ||
-			strings.HasPrefix(line, "remon_mvee_epoch_size") ||
+			strings.HasPrefix(line, "remon_ghumvee_monitored_calls_total") ||
 			strings.HasPrefix(line, "remon_fleet_conns_routed_total") {
 			fmt.Println("   " + line)
 		}
@@ -113,7 +109,10 @@ func main() {
 		log.Fatal("shard never recovered")
 	}
 	// Let the controller observe the respawned generation.
-	snapped := func() bool { return ctl.ShardKnobs(2) == fleet.ConservativeKnobs() }
+	snapped := func() bool {
+		lv, _ := ctl.ShardLevel(2)
+		return lv == policy.BaseLevel
+	}
 	deadline = time.Now().Add(10 * time.Second)
 	for !snapped() {
 		if time.Now().After(deadline) {
@@ -121,9 +120,7 @@ func main() {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	k := ctl.ShardKnobs(2)
-	fmt.Printf("-- divergence verdict wins: shard 2 reset to %v / lag %d / epoch %d (holding)\n",
-		k.Level, k.MaxLag, k.Epoch)
+	fmt.Println("-- divergence verdict wins: shard 2's tuner reset to BASE (holding)")
 
 	rep := f.Health()
 	for _, sh := range rep.Shards {

@@ -68,8 +68,8 @@ func TestSurgeAutoscaleZeroLoss(t *testing.T) {
 	f := surgeFleet(t)
 	defer f.Close()
 
-	as := f.StartAutoscaler(fleet.AutoscalerConfig{
-		Scaler: fleet.ScalerConfig{
+	as := f.StartControl(fleet.ControlConfig{
+		Scaler: &fleet.ScalerConfig{
 			MinShards: 2, MaxShards: 4,
 			AdmitWaitHigh: 4,
 			UpRounds:      2, DownRounds: 6,

@@ -2,9 +2,8 @@
 // instance owns — GHUMVEE monitor, IK-B broker, the IP-MON replicas,
 // the replication buffer, the policy engine and the live knob settings
 // — into a telemetry.Sampler under whatever label set the caller
-// registered (fleet adds shard="N"; standalone instances register
-// unlabeled). The subsystems' own Stats() atomics are the cells; no hot
-// path changes here.
+// registered (fleet adds shard="N"). The subsystems' own Stats()
+// atomics are the cells; no hot path changes here.
 package core
 
 import (
@@ -84,14 +83,6 @@ func (m *MVEE) CollectTelemetry(s *telemetry.Sampler) {
 	s.Metric("remon_mvee_max_lag", float64(ts.MaxLag))
 	s.Metric("remon_mvee_epoch_size", float64(ts.EpochSize))
 	s.Metric("remon_mvee_replicas", float64(ts.Replicas))
-}
-
-// RegisterTelemetry wires a standalone instance into reg under labels:
-// one collector covering every subsystem, plus the process-wide mem
-// arena (unlabeled — the arena is shared across instances).
-func (m *MVEE) RegisterTelemetry(reg *telemetry.Registry, labels telemetry.Labels) {
-	reg.RegisterCollector(labels, m.CollectTelemetry)
-	RegisterArenaTelemetry(reg)
 }
 
 // RegisterArenaTelemetry registers the process-wide segment arena. Safe

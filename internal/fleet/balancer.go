@@ -18,21 +18,18 @@ import (
 	"errors"
 	"time"
 
-	"remon/internal/core"
 	"remon/internal/model"
 	"remon/internal/vnet"
 )
 
-// backendTarget is a shard pick with its network and replica set
-// captured at snapshot publication — s.net/s.mvee are rewritten on
-// respawn, so the balancer must never read them unlocked; the snapshot
-// capture happens under the shard lock and the generation check detects
-// staleness.
+// backendTarget is a shard pick with its network captured at snapshot
+// publication — s.net is rewritten on respawn, so the balancer must
+// never read it unlocked; the snapshot capture happens under the shard
+// lock and the generation check detects staleness.
 type backendTarget struct {
-	s    *shard
-	net  *vnet.Network
-	gen  int
-	mvee *core.MVEE
+	s   *shard
+	net *vnet.Network
+	gen int
 }
 
 // acceptLoop takes front-end connections and queues each to the fixed
@@ -263,30 +260,18 @@ func affinityClaim(ts []backendTarget, clientAddr string, limit int) (backendTar
 	return best, ok, anySat || sat
 }
 
-// leastLoadedClaim scores each candidate lock-free and claims the
-// minimum. Connection count (occupancy word) dominates; the RB LagWaits
-// delta since the previous scoring pass breaks ties toward the shard
-// whose replication pipeline is keeping up. The mvee pointer comes from
-// the snapshot; RBStats is all atomic loads, safe even against a
-// concurrent respawn of the shard it belonged to.
+// leastLoadedClaim scores each candidate lock-free by its occupancy
+// word (tracked connections plus pending picks) and claims the minimum.
 func leastLoadedClaim(ts []backendTarget, limit int) (backendTarget, bool, bool) {
 	var best backendTarget
-	bestScore := uint64(1<<63 - 1)
+	bestScore := 0
 	found, anySat := false, false
 	for _, t := range ts {
 		v := t.s.occ.Load()
-		if limit > 0 && occConns(v)+occPending(v) >= limit {
+		score := occConns(v) + occPending(v)
+		if limit > 0 && score >= limit {
 			anySat = true
 			continue
-		}
-		score := uint64(occConns(v)+occPending(v)) * 1000
-		if t.mvee != nil {
-			waits := t.mvee.RBStats().LagWaits
-			delta := waits - t.s.lastLagWaits.Swap(waits)
-			if delta > 999 {
-				delta = 999 // never outweigh a whole connection
-			}
-			score += delta
 		}
 		if !found || score < bestScore {
 			best, bestScore, found = t, score, true

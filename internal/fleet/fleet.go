@@ -147,12 +147,8 @@ const (
 	// reaches the same shard, and a shard's removal only moves that
 	// shard's clients.
 	RouteAffinity
-	// RouteLeastLoaded picks the shard with the lowest live load score:
-	// in-flight connections (tracked splices plus pending picks) weighted
-	// heavily, with the shard RB's LagWaits delta since the last pick as
-	// a tie-breaking backpressure signal — a shard whose master keeps
-	// hitting the replication-lag budget is struggling even if its
-	// connection count looks fine.
+	// RouteLeastLoaded picks the shard with the fewest in-flight
+	// connections (tracked splices plus pending picks).
 	RouteLeastLoaded
 )
 
@@ -199,15 +195,6 @@ type Config struct {
 	Partitions      int
 	Seed            uint64
 	LockstepTimeout time.Duration
-	// EpochSize is each shard monitor's divergence-checking window
-	// (core.Config.EpochSize); 0 keeps immediate verification.
-	EpochSize int
-	// MaxLag is each shard's master-ahead replication window
-	// (core.Config.MaxLag): how many checked, batchable fast-path calls
-	// a shard master may complete ahead of its slowest slave's
-	// consumption. 0 publishes every call's entry at once. SetShardLag
-	// adjusts the window per shard while serving.
-	MaxLag int
 
 	// DrainGrace bounds how long DrainShard waits for in-flight
 	// connections before cutting them (default 2s host time).
@@ -335,21 +322,12 @@ type ShardInfo struct {
 	ConnsRouted uint64
 	InFlight    int
 	LastVerdict ghumvee.Verdict
+	// Divergences counts the slot's divergence quarantines.
+	Divergences int
 	// Policy is the shard's current global relaxation level (the active
 	// engine snapshot's default; per-fd refinements are not summarised
 	// here).
 	Policy policy.Level
-	// MaxLag is the shard's master-ahead replication window (0 = every
-	// entry published at once).
-	MaxLag int
-	// EpochSize is the shard monitor's divergence-checking window
-	// (1 = immediate verification).
-	EpochSize int
-	// CurLag is the live master-ahead occupancy (calls the master is
-	// currently ahead of its slowest slave); 0 for lockstep or between
-	// replica sets. CurLag/MaxLag is the autoscaler's lag-occupancy
-	// signal.
-	CurLag int
 }
 
 // Stats is a fleet-wide snapshot.
@@ -404,18 +382,8 @@ type shard struct {
 	// the shard is Draining — the balancer's retry-after hint derives
 	// from it (capacity returns when the drain completes).
 	drainUntil time.Time
-	// maxLag is the master-ahead window the next buildShard boots with;
-	// a perf knob (not a security posture), so unlike level it survives
-	// divergence respawns. SetShardLag updates it and applies it to the
-	// live replica set immediately.
-	maxLag int
-	// epoch is the divergence-checking window the next buildShard boots
-	// with; like maxLag it is a perf knob and survives respawns.
-	// SetShardEpoch updates it and applies it to the live monitor
-	// immediately (epoch size is runtime-adjustable, PR 3).
-	epoch  int
-	net    *vnet.Network
-	kernel *vkernel.Kernel
+	net        *vnet.Network
+	kernel     *vkernel.Kernel
 	// replicaSet is the live generation (zero between generations);
 	// only a lifecycle claim (claimLocked) takes it away.
 	replicaSet
@@ -424,11 +392,10 @@ type shard struct {
 	// it without widening track's critical section.
 	connsRouted atomic.Uint64
 	lastVerdict ghumvee.Verdict
-	// lastLagWaits is the RB LagWaits high-water observed at the last
-	// least-loaded scoring pass; the delta since is the shard's live
-	// replication-backpressure signal. Atomic Swap keeps the scoring
-	// pass lock-free.
-	lastLagWaits atomic.Uint64
+	// divergences counts the divergence quarantines this slot went
+	// through; lastVerdict survives later rotations, the count tells a
+	// new divergence from an old one.
+	divergences int
 
 	// inject arms the next-request divergence (the compromised-master
 	// simulation); it holds the tamper payload the master splices over
@@ -481,7 +448,7 @@ type Fleet struct {
 	onSpliceDone func(*vnet.Splice)
 
 	// admitWaits counts admission backoff sleeps (pickShard retries) —
-	// the pre-shed pressure signal the autoscaler watches: it moves
+	// the pre-shed pressure signal the pool scaler watches: it moves
 	// before ConnsShed does, because every shed first exhausted its
 	// retries.
 	admitWaits atomic.Uint64
@@ -633,15 +600,13 @@ func (f *Fleet) PoolSize() (serving, total int) {
 }
 
 // newShardSlot appends a fresh Respawning shard slot at the fleet's
-// configured boot knobs and returns it; the caller boots it.
+// configured policy and returns it; the caller boots it.
 func (f *Fleet) newShardSlot() *shard {
 	f.poolMu.Lock()
 	s := &shard{
 		idx:     len(f.shards),
 		addr:    fmt.Sprintf("shard-%d:9000", len(f.shards)),
 		level:   *f.cfg.Policy,
-		maxLag:  f.cfg.MaxLag,
-		epoch:   f.cfg.EpochSize,
 		splices: map[*vnet.Splice]struct{}{},
 	}
 	s.state.Store(Respawning)
@@ -661,7 +626,7 @@ func (f *Fleet) buildShard(s *shard) error {
 	net.SetConnectWait(f.cfg.BackendConnectWait)
 	k := vkernel.New(net)
 	s.mu.Lock()
-	idx, gen, level, maxLag, epoch := s.idx, int(s.gen.Load()), s.level, s.maxLag, s.epoch
+	idx, gen, level := s.idx, int(s.gen.Load()), s.level
 	s.mu.Unlock()
 	mvee, err := core.New(core.Config{
 		Mode:     core.ModeReMon,
@@ -673,8 +638,6 @@ func (f *Fleet) buildShard(s *shard) error {
 		Seed:            f.cfg.Seed + uint64(idx)*0x10001 + uint64(gen)*0x9E3779B9,
 		Kernel:          k,
 		LockstepTimeout: f.cfg.LockstepTimeout,
-		EpochSize:       epoch,
-		MaxLag:          maxLag,
 		OnVerdict: func(v ghumvee.Verdict) {
 			f.notifyVerdict(idx, gen, v)
 		},
@@ -765,6 +728,7 @@ func (f *Fleet) handleDivergence(ev verdictEvent) {
 		return
 	}
 	s.lastVerdict = ev.v
+	s.divergences++
 	c := s.claimLocked(Quarantined)
 	s.mu.Unlock()
 
@@ -799,13 +763,13 @@ func (f *Fleet) DrainShard(idx int) error {
 	return f.cycle(c, "drained", "rotated", nil)
 }
 
-// AddShard grows the pool by one Serving shard — the autoscaler's
+// AddShard grows the pool by one Serving shard — the pool scaler's
 // scale-up actuator, also usable administratively. A Retired tombstone
 // is revived in place when one exists (the slice stays bounded under
 // repeated scale cycles); otherwise a fresh slot is appended and its
 // telemetry collector registered into every registry the fleet is wired
 // to, so a scrape stays complete across pool growth. The shard boots at
-// the fleet's configured policy/lag/epoch knobs and joins the balancer's
+// the fleet's configured policy and joins the balancer's
 // candidate set once its server listens. Returns the shard's index.
 func (f *Fleet) AddShard() (int, error) {
 	if f.stopping.Load() {
@@ -817,11 +781,11 @@ func (f *Fleet) AddShard() (int, error) {
 			s.mu.Unlock()
 			continue
 		}
-		// Revive in place at the configured boot knobs, exactly as a
-		// fresh slot would get them. The claim is the state flip — a
-		// concurrent AddShard sees Respawning and moves on.
+		// Revive in place at the configured policy, exactly as a fresh
+		// slot would get it. The claim is the state flip — a concurrent
+		// AddShard sees Respawning and moves on.
 		c := s.claimLocked(Respawning)
-		s.level, s.maxLag, s.epoch = *f.cfg.Policy, f.cfg.MaxLag, f.cfg.EpochSize
+		s.level = *f.cfg.Policy
 		s.mu.Unlock()
 		return s.idx, f.cycle(c, "scale-up", "scaled up", nil)
 	}
@@ -895,88 +859,6 @@ func (f *Fleet) SetShardPolicy(idx int, rules policy.Rules) error {
 	s.mu.Unlock()
 	f.record(s, gen, st, st, fmt.Sprintf("policy reloaded (default %v)", rules.Default))
 	return nil
-}
-
-// SetShardLag adjusts a shard's master-ahead replication window while
-// it serves. The value is recorded as the shard's boot setting (it
-// survives respawns — lag is a performance knob, not a trust posture)
-// and applied to a serving or draining replica set immediately through
-// the MVEE; a shard between replica sets takes it at its next boot.
-func (f *Fleet) SetShardLag(idx, lag int) error {
-	s, err := f.shardAt(idx)
-	if err != nil {
-		return err
-	}
-	if lag < 0 {
-		return fmt.Errorf("fleet: negative lag window %d", lag)
-	}
-	s.mu.Lock()
-	s.maxLag = lag
-	mvee, st, gen := s.mvee, s.state.Load(), int(s.gen.Load())
-	s.mu.Unlock()
-	applied := "at next respawn"
-	if (st == Serving || st == Draining) && mvee != nil {
-		if err := mvee.SetMaxLag(lag); err == nil {
-			applied = "live"
-		}
-	}
-	f.record(s, gen, st, st, fmt.Sprintf("lag window set to %d (%s)", lag, applied))
-	return nil
-}
-
-// SetShardEpoch adjusts a shard's divergence-checking window while it
-// serves. Like SetShardLag this is a performance knob, not a trust
-// posture: the value is recorded as the shard's boot setting (surviving
-// respawns) and applied to the live monitor immediately.
-func (f *Fleet) SetShardEpoch(idx, n int) error {
-	s, err := f.shardAt(idx)
-	if err != nil {
-		return err
-	}
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	s.epoch = n
-	mvee, st, gen := s.mvee, s.state.Load(), int(s.gen.Load())
-	applied := "at next respawn"
-	if (st == Serving || st == Draining) && mvee != nil && mvee.Monitor != nil {
-		mvee.Monitor.SetEpochSize(n)
-		applied = "live"
-	}
-	s.mu.Unlock()
-	f.record(s, gen, st, st, fmt.Sprintf("epoch size set to %d (%s)", n, applied))
-	return nil
-}
-
-// ShardEpoch reports a shard's live divergence-checking window (its
-// boot setting when the shard is between replica sets).
-func (f *Fleet) ShardEpoch(idx int) (int, error) {
-	s, err := f.shardAt(idx)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st := s.state.Load(); s.mvee != nil && s.mvee.Monitor != nil && (st == Serving || st == Draining) {
-		return s.mvee.Monitor.EpochSize(), nil
-	}
-	return s.epoch, nil
-}
-
-// ShardLag reports a shard's live master-ahead window (its boot setting
-// when the shard is between replica sets).
-func (f *Fleet) ShardLag(idx int) (int, error) {
-	s, err := f.shardAt(idx)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st := s.state.Load(); s.mvee != nil && (st == Serving || st == Draining) {
-		return s.mvee.MaxLag(), nil
-	}
-	return s.maxLag, nil
 }
 
 // ShardPolicy reports a shard's currently active global relaxation level
@@ -1090,7 +972,7 @@ func (f *Fleet) publishServing() {
 		s.mu.Lock()
 		if s.state.Load() == Serving && s.mvee != nil {
 			targets = append(targets, backendTarget{
-				s: s, net: s.net, gen: int(s.gen.Load()), mvee: s.mvee,
+				s: s, net: s.net, gen: int(s.gen.Load()),
 			})
 		}
 		s.mu.Unlock()
@@ -1144,7 +1026,7 @@ func (f *Fleet) RouteOf(clientAddr string) (shard, gen int, ok bool) {
 // Consistency contract: Stats is NOT one global atomic snapshot — it is
 // a sequence of per-lock snapshots. Each ShardInfo is taken under that
 // shard's s.mu, so the fields *within* one ShardInfo (state, gen,
-// in-flight, verdict, knobs) are mutually consistent. The migration
+// in-flight, verdict, level) are mutually consistent. The migration
 // counters (Failovers, Handoffs, ReplayedBytes, Recoveries) are all
 // read under one f.mu critical section — the same lock every writer
 // holds when it advances them — so *they* are mutually consistent too:
@@ -1168,14 +1050,6 @@ func (f *Fleet) Stats() Stats {
 		s.mu.Lock()
 		lv := s.effectiveLevelLocked()
 		sstate := s.state.Load()
-		lag, epoch, curLag := s.maxLag, s.epoch, 0
-		if s.mvee != nil && (sstate == Serving || sstate == Draining) {
-			lag = s.mvee.MaxLag()
-			if s.mvee.Monitor != nil {
-				epoch = s.mvee.Monitor.EpochSize()
-			}
-			curLag = int(s.mvee.RBStats().CurLag)
-		}
 		if sstate == Serving && s.mvee != nil {
 			st.ServingShards++
 		}
@@ -1188,10 +1062,8 @@ func (f *Fleet) Stats() Stats {
 			ConnsRouted: sRouted,
 			InFlight:    len(s.splices),
 			LastVerdict: s.lastVerdict,
+			Divergences: s.divergences,
 			Policy:      lv,
-			MaxLag:      lag,
-			EpochSize:   epoch,
-			CurLag:      curLag,
 		})
 		routed += sRouted
 		s.mu.Unlock()

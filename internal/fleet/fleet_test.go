@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"remon/internal/mem"
 	"remon/internal/model"
 	"remon/internal/policy"
+	"remon/internal/vkernel"
 )
 
 // quickCfg keeps test fleets small and fast.
@@ -395,98 +397,55 @@ func TestFleetSetShardPolicyLive(t *testing.T) {
 	}
 }
 
-// TestFleetSetShardLagLive: the master-ahead lag window is adjustable
-// per shard while it serves, on a fleet booted at MaxLag 0 too.
-func TestFleetSetShardLagLive(t *testing.T) {
-	cfg := quickCfg(2)
-	cfg.MaxLag = 8
-	f, err := New(cfg)
+// TestServerProgramMakesNoBatchableCall pins why the fleet has no
+// temporal relaxation axis: a master-ahead window or epoch batching
+// only pays for policy.Batchable calls, and the shard server program
+// issues none at any relaxation level. If the program ever grows one,
+// this fails, and a per-shard lag or epoch knob is worth having again.
+func TestServerProgramMakesNoBatchableCall(t *testing.T) {
+	f, err := New(quickCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-
-	if lag, err := f.ShardLag(0); err != nil || lag != 8 {
-		t.Fatalf("boot lag = %d, %v; want 8", lag, err)
+	s, err := f.shardAt(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	loadDone := make(chan []ConnOutcome, 1)
-	go func() {
-		loadDone <- f.DriveClients(DriveConfig{
-			Conns: 12, RequestsPerConn: 30, ThinkTime: 2 * model.Microsecond,
-		})
-	}()
-	time.Sleep(1 * time.Millisecond)
-	for i := 0; i < 2; i++ {
-		if err := f.SetShardLag(i, 64); err != nil {
+	s.mu.Lock()
+	k := s.kernel
+	s.mu.Unlock()
+
+	var calls, batchable atomic.Uint64
+	var lastBatchable atomic.Int64
+	k.SetTrace(func(_ *vkernel.Thread, c *vkernel.Call) {
+		calls.Add(1)
+		if policy.Batchable(c.Num) {
+			batchable.Add(1)
+			lastBatchable.Store(int64(c.Num))
+		}
+	})
+	defer k.SetTrace(nil)
+
+	for lv := policy.BaseLevel; lv <= policy.SocketRWLevel; lv++ {
+		if err := f.SetShardPolicy(0, policy.LevelRules(lv)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, o := range <-loadDone {
-		if o.Errors != 0 {
-			t.Fatalf("errors during live lag reload: %+v", o)
-		}
-	}
-	st := f.Stats()
-	for i := 0; i < 2; i++ {
-		if lag, _ := f.ShardLag(i); lag != 64 {
-			t.Fatalf("shard %d lag = %d after reload", i, lag)
-		}
-		if st.Shards[i].MaxLag != 64 {
-			t.Fatalf("shard %d ShardInfo.MaxLag = %d", i, st.Shards[i].MaxLag)
-		}
-	}
-	if err := f.SetShardLag(9, 1); err == nil {
-		t.Fatal("SetShardLag accepted an unknown shard")
-	}
-	if err := f.SetShardLag(0, -1); err == nil {
-		t.Fatal("SetShardLag accepted a negative window")
-	}
-
-	// A fleet booted at MaxLag 0 takes a window live as well.
-	zero, err := New(quickCfg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer zero.Close()
-	if err := zero.SetShardLag(0, 16); err != nil {
-		t.Fatal(err)
-	}
-	if lag, _ := zero.ShardLag(0); lag != 16 {
-		t.Fatalf("shard booted at 0 reports live lag %d after SetShardLag(0, 16)", lag)
-	}
-}
-
-// TestSetShardLagZeroLandsLive: a window lowered to 0 — the tuner's
-// idle step-down from 8 — must reach the serving replica set, not only
-// the boot record: ShardLag and Stats read the live buffer's window,
-// and the set keeps serving without a respawn. (The shard program makes
-// no batchable call, so its group-commit counters read 0 at any window;
-// core.TestPipelineLiveLagReload pins that batching stops at 0.)
-func TestSetShardLagZeroLandsLive(t *testing.T) {
-	cfg := quickCfg(1)
-	cfg.MaxLag = 8
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	load := func() {
-		for _, o := range f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 16, ThinkTime: model.Microsecond}) {
+		before := calls.Load()
+		for _, o := range f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 8, ThinkTime: model.Microsecond}) {
 			if o.Errors != 0 {
-				t.Fatalf("errors under load: %+v", o)
+				t.Fatalf("%v: errors under load: %+v", lv, o)
 			}
 		}
+		if calls.Load() == before {
+			t.Fatalf("%v: the trace saw no call", lv)
+		}
+		if n := batchable.Load(); n != 0 {
+			t.Fatalf("%v: the server program made %d batchable calls (last: %s)",
+				lv, n, vkernel.SyscallName(int(lastBatchable.Load())))
+		}
 	}
-	load()
-	if err := f.SetShardLag(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if lag, err := f.ShardLag(0); err != nil || lag != 0 {
-		t.Fatalf("ShardLag = %d, %v after SetShardLag(0, 0); want 0 live", lag, err)
-	}
-	load()
-	st := f.Stats()
-	if sh := st.Shards[0]; sh.MaxLag != 0 || sh.State != Serving || sh.Gen != 0 {
-		t.Fatalf("shard after SetShardLag(0, 0) under load: %+v", sh)
+	if st, gen := f.ShardState(0); st != Serving || gen != 0 {
+		t.Fatalf("shard 0 is %v at gen %d, want serving at gen 0", st, gen)
 	}
 }

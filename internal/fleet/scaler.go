@@ -1,9 +1,9 @@
-// The elastic autoscaler: a pure observe → decide → actuate state
-// machine (mirroring Tuner's shape, DESIGN.md §12) that grows the shard
-// pool when windowed admission pressure — shed/refused connections,
-// admission-retry backoffs, RB lag occupancy, in-flight saturation —
-// crosses high water, and shrinks it via the drain+handoff machinery
-// when sustained headroom crosses low water.
+// The elastic pool sizer: a pure observe → decide state machine
+// (mirroring Tuner's shape, DESIGN.md §12) that grows the shard pool
+// when windowed admission pressure — shed/refused connections,
+// admission-retry backoffs, in-flight saturation — crosses high water,
+// and shrinks it via the drain+handoff machinery when sustained
+// headroom crosses low water.
 //
 // Three rules keep the loop sound:
 //
@@ -24,19 +24,12 @@
 //     collapse. At MinShards the pool stops shrinking. Both hold the
 //     streak armed so the decision log shows the pressure.
 //
-// The decision logic lives in Scaler, a pure state machine with no
-// clocks or locks (every transition unit-testable); Autoscaler is the
-// host-time loop that feeds it CounterWindow deltas over fleet Stats
-// and actuates AddShard/RemoveShard asynchronously.
+// Scaler has no clocks or locks (every transition unit-testable); the
+// Controller (control.go) feeds it CounterWindow deltas over fleet
+// Stats and actuates AddShard/RemoveShard.
 package fleet
 
-import (
-	"fmt"
-	"sync"
-	"time"
-
-	"remon/internal/telemetry"
-)
+import "fmt"
 
 // ScaleDecision is one scaler round's outcome.
 type ScaleDecision int
@@ -81,10 +74,6 @@ type ScalerConfig struct {
 	// This is the pre-shed signal: retries burn before refusals happen,
 	// so the pool can grow before a client is actually lost.
 	AdmitWaitHigh uint64
-	// LagOccupancyHigh: worst serving shard's CurLag/MaxLag (default
-	// 0.75). A master pinned against its replication-lag budget is
-	// saturated even if its connection count looks fine.
-	LagOccupancyHigh float64
 	// InFlightFracHigh: in-flight connections over serving capacity
 	// (serving shards × MaxConnsPerShard; default 0.85). Unused when
 	// the fleet has no connection cap.
@@ -92,9 +81,6 @@ type ScalerConfig struct {
 
 	// Low-water thresholds — ALL of them idle arms scale-down.
 
-	// LagOccupancyLow (default 0.25): every serving shard's lag window
-	// must be mostly empty.
-	LagOccupancyLow float64
 	// InFlightFracLow (default 0.5): the *projected* in-flight fraction
 	// with one shard fewer must stay under this — the shrink must not
 	// immediately re-trip the high water.
@@ -131,14 +117,8 @@ func (c ScalerConfig) withDefaults() ScalerConfig {
 	if c.AdmitWaitHigh == 0 {
 		c.AdmitWaitHigh = 8
 	}
-	if c.LagOccupancyHigh <= 0 {
-		c.LagOccupancyHigh = 0.75
-	}
 	if c.InFlightFracHigh <= 0 {
 		c.InFlightFracHigh = 0.85
-	}
-	if c.LagOccupancyLow <= 0 {
-		c.LagOccupancyLow = 0.25
 	}
 	if c.InFlightFracLow <= 0 {
 		c.InFlightFracLow = 0.5
@@ -168,9 +148,6 @@ type ScaleSignals struct {
 	Shed uint64
 	// AdmitWaits is the windowed admission backoff-sleep delta.
 	AdmitWaits uint64
-	// LagOccupancy is the worst serving shard's CurLag/MaxLag (0 when
-	// no shard runs a lag window).
-	LagOccupancy float64
 	// InFlightFrac is in-flight connections over serving capacity; 0
 	// when the fleet has no MaxConnsPerShard cap.
 	InFlightFrac float64
@@ -187,7 +164,7 @@ type ScaleStep struct {
 }
 
 // Scaler is the pure pool-sizing state machine. Not safe for concurrent
-// use; the Autoscaler drives one.
+// use; the Controller drives one.
 type Scaler struct {
 	cfg      ScalerConfig
 	high     int // consecutive overloaded rounds
@@ -271,8 +248,6 @@ func (s *Scaler) overloaded(sig ScaleSignals) (bool, string) {
 		return true, fmt.Sprintf("shed %d conns in window", sig.Shed)
 	case sig.AdmitWaits >= s.cfg.AdmitWaitHigh:
 		return true, fmt.Sprintf("admission pressure: %d backoff waits in window", sig.AdmitWaits)
-	case sig.LagOccupancy >= s.cfg.LagOccupancyHigh:
-		return true, fmt.Sprintf("lag occupancy %.2f", sig.LagOccupancy)
 	case sig.InFlightFrac > 0 && sig.InFlightFrac >= s.cfg.InFlightFracHigh:
 		return true, fmt.Sprintf("in-flight %.2f of capacity", sig.InFlightFrac)
 	}
@@ -285,9 +260,6 @@ func (s *Scaler) idle(sig ScaleSignals) bool {
 	if sig.Shed != 0 || sig.AdmitWaits != 0 {
 		return false
 	}
-	if sig.LagOccupancy > s.cfg.LagOccupancyLow {
-		return false
-	}
 	if sig.InFlightFrac > 0 {
 		if sig.Serving <= 1 {
 			return false // nothing to project onto
@@ -298,241 +270,4 @@ func (s *Scaler) idle(sig ScaleSignals) bool {
 		}
 	}
 	return true
-}
-
-// AutoscalerConfig parameterises the host loop.
-type AutoscalerConfig struct {
-	Scaler ScalerConfig
-	// Interval is the host-time observation period (default 10ms).
-	Interval time.Duration
-	// Window is how many observation rounds the counter deltas span
-	// (default 4).
-	Window int
-}
-
-func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
-	c.Scaler = c.Scaler.withDefaults()
-	if c.Interval <= 0 {
-		c.Interval = 10 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 4
-	}
-	return c
-}
-
-// ScaleEvent is one recorded non-hold decision (plus ceiling holds —
-// the moments graceful degradation was the chosen answer).
-type ScaleEvent struct {
-	At       time.Time
-	Decision ScaleDecision
-	// Serving is the serving count the decision was made against.
-	Serving int
-	Reason  string
-}
-
-// Autoscaler drives a Scaler against live fleet stats and actuates pool
-// changes.
-type Autoscaler struct {
-	f      *Fleet
-	cfg    AutoscalerConfig
-	scaler *Scaler
-
-	stop chan struct{}
-	wg   sync.WaitGroup
-
-	// Signal windows, owned by the loop goroutine.
-	shed  *CounterWindow // ConnsShed + ConnsRefused
-	waits *CounterWindow // AdmitWaits
-	recov *CounterWindow // Recoveries
-
-	mu     sync.Mutex
-	busy   bool // an AddShard/RemoveShard actuation in flight
-	events []ScaleEvent
-
-	rounds *telemetry.Counter
-	ups    *telemetry.Counter
-	downs  *telemetry.Counter
-}
-
-// StartAutoscaler begins elastic pool control. The loop owns
-// AddShard/RemoveShard for the fleet's lifetime; mixing manual pool
-// changes with a running autoscaler is undefined. Close stops it (the
-// pool keeps its last size).
-func (f *Fleet) StartAutoscaler(cfg AutoscalerConfig) *Autoscaler {
-	cfg = cfg.withDefaults()
-	a := &Autoscaler{
-		f:      f,
-		cfg:    cfg,
-		scaler: NewScaler(cfg.Scaler),
-		stop:   make(chan struct{}),
-		shed:   NewCounterWindow(cfg.Window),
-		waits:  NewCounterWindow(cfg.Window),
-		recov:  NewCounterWindow(cfg.Window),
-	}
-	a.wg.Add(1)
-	go a.run()
-	return a
-}
-
-// RegisterTelemetry adds the autoscaler's own series to reg.
-func (a *Autoscaler) RegisterTelemetry(reg *telemetry.Registry) {
-	a.rounds = reg.Counter("remon_autoscaler_rounds_total", "autoscaler observation rounds", nil)
-	a.ups = reg.Counter("remon_autoscaler_scale_ups_total", "shards added by the autoscaler", nil)
-	a.downs = reg.Counter("remon_autoscaler_scale_downs_total", "shards retired by the autoscaler", nil)
-}
-
-// Events returns a copy of the decision log (scale-ups, scale-downs,
-// and ceiling holds).
-func (a *Autoscaler) Events() []ScaleEvent {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]ScaleEvent(nil), a.events...)
-}
-
-// Close stops the loop and waits for any in-flight actuation.
-func (a *Autoscaler) Close() {
-	select {
-	case <-a.stop:
-	default:
-		close(a.stop)
-	}
-	a.wg.Wait()
-}
-
-func (a *Autoscaler) run() {
-	defer a.wg.Done()
-	tick := time.NewTicker(a.cfg.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-tick.C:
-			a.round()
-		}
-	}
-}
-
-// round observes the fleet, steps the scaler, and actuates.
-func (a *Autoscaler) round() {
-	if a.rounds != nil {
-		a.rounds.Inc()
-	}
-	st := a.f.Stats()
-
-	disrupted := false
-	inFlight := 0
-	worstOcc := 0.0
-	for _, sh := range st.Shards {
-		switch sh.State {
-		case Quarantined, Respawning:
-			// Draining deliberately does NOT disrupt: drains are the
-			// scaler's own actuation (and rotations are planned, not
-			// emergencies).
-			disrupted = true
-		}
-		if sh.State == Serving {
-			inFlight += sh.InFlight
-			if sh.MaxLag > 0 {
-				if occ := float64(sh.CurLag) / float64(sh.MaxLag); occ > worstOcc {
-					worstOcc = occ
-				}
-			}
-		}
-	}
-	a.shed.Observe(st.ConnsShed + st.ConnsRefused)
-	a.waits.Observe(st.AdmitWaits)
-	a.recov.Observe(uint64(st.Recoveries))
-	if a.recov.Delta() > 0 {
-		// A recovery completed inside the window: the pool just went
-		// through a kill/respawn cycle — let the signals settle before
-		// trusting them.
-		disrupted = true
-	}
-
-	inFlightFrac := 0.0
-	if cap := a.f.cfg.MaxConnsPerShard; cap > 0 && st.ServingShards > 0 {
-		inFlightFrac = float64(inFlight) / float64(st.ServingShards*cap)
-	}
-
-	a.mu.Lock()
-	busy := a.busy
-	a.mu.Unlock()
-
-	sig := ScaleSignals{
-		Serving:      st.ServingShards,
-		Shed:         a.shed.Delta(),
-		AdmitWaits:   a.waits.Delta(),
-		LagOccupancy: worstOcc,
-		InFlightFrac: inFlightFrac,
-		Disrupted:    disrupted || busy,
-	}
-	step := a.scaler.Step(sig)
-
-	switch step.Decision {
-	case ScaleUp:
-		a.recordEvent(step, sig.Serving)
-		a.actuate(func() { _, _ = a.f.AddShard() }, a.ups)
-	case ScaleDown:
-		victim := a.pickVictim(st)
-		if victim < 0 {
-			return
-		}
-		a.recordEvent(step, sig.Serving)
-		a.actuate(func() { _ = a.f.RemoveShard(victim) }, a.downs)
-	default:
-		// Ceiling holds go in the log too: they are the degradation
-		// decisions an operator wants to see.
-		if sig.Serving >= a.cfg.Scaler.MaxShards && a.scaler.high >= a.cfg.Scaler.UpRounds {
-			a.recordEvent(step, sig.Serving)
-		}
-	}
-}
-
-// pickVictim chooses the scale-down target: the serving shard with the
-// fewest in-flight connections (cheapest drain), highest index on ties
-// (so repeated shrinks walk the pool back the way it grew).
-func (a *Autoscaler) pickVictim(st Stats) int {
-	victim, best := -1, -1
-	for _, sh := range st.Shards {
-		if sh.State != Serving {
-			continue
-		}
-		if victim < 0 || sh.InFlight < best || (sh.InFlight == best && sh.Index > victim) {
-			victim, best = sh.Index, sh.InFlight
-		}
-	}
-	return victim
-}
-
-// actuate runs one pool change on its own goroutine, holding the busy
-// flag so the scaler treats the in-flight change as disruption.
-func (a *Autoscaler) actuate(fn func(), counter *telemetry.Counter) {
-	a.mu.Lock()
-	if a.busy {
-		a.mu.Unlock()
-		return
-	}
-	a.busy = true
-	a.mu.Unlock()
-	if counter != nil {
-		counter.Inc()
-	}
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		fn()
-		a.mu.Lock()
-		a.busy = false
-		a.mu.Unlock()
-	}()
-}
-
-func (a *Autoscaler) recordEvent(step ScaleStep, serving int) {
-	a.mu.Lock()
-	a.events = append(a.events, ScaleEvent{
-		At: time.Now(), Decision: step.Decision, Serving: serving, Reason: step.Reason,
-	})
-	a.mu.Unlock()
 }

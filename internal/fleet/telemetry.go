@@ -1,5 +1,5 @@
 // Fleet-side telemetry wiring: the health model (per-shard lifecycle
-// state, lag headroom, last verdict) and the registry hookup that turns
+// state, policy level, last verdict) and the registry hookup that turns
 // every shard's subsystem stats into labeled Prometheus series. The
 // fleet registers *collectors*, not cells — each scrape resolves the
 // shard's live MVEE under s.mu, so a respawn transparently swaps the
@@ -14,49 +14,33 @@ import (
 )
 
 // Health builds the fleet's JSON-facing health report: per-shard
-// lifecycle state with the live knob positions and lag headroom, plus
+// lifecycle state with the live policy level and in-flight count, plus
 // the fleet-global admission/failover counters. Status is "ok" only
 // while every shard serves; any shard mid-drain, quarantined or
 // respawning degrades the report (the fleet still serves — degraded is
 // a capacity warning, not an outage). Retired tombstones are reported
 // but do not degrade: a deliberately scaled-down slot is not a capacity
-// loss, the autoscaler already accounted for it.
+// loss, the pool scaler already accounted for it.
 func (f *Fleet) Health() telemetry.HealthReport {
 	rep := telemetry.HealthReport{Status: "ok"}
 	for _, s := range f.pool() {
 		s.mu.Lock()
+		// One load of the packed occupancy word: two would let a
+		// pending->conn conversion between them skew the sum by one.
+		occ := s.occ.Load()
+		state := s.state.Load()
 		h := telemetry.ShardHealth{
 			Shard:       s.idx,
-			State:       s.state.Load().String(),
+			State:       state.String(),
 			Gen:         int(s.gen.Load()),
 			Policy:      s.effectiveLevelLocked().String(),
-			MaxLag:      s.maxLag,
-			EpochSize:   s.epoch,
-			InFlight:    occConns(s.occ.Load()) + occPending(s.occ.Load()),
+			InFlight:    occConns(occ) + occPending(occ),
 			LastVerdict: s.lastVerdict.Reason,
 			Diverged:    s.lastVerdict.Diverged,
 		}
-		if st := s.state.Load(); s.mvee != nil && (st == Serving || st == Draining) {
-			h.MaxLag = s.mvee.MaxLag()
-			if s.mvee.Monitor != nil {
-				h.EpochSize = s.mvee.Monitor.EpochSize()
-			}
-			h.CurLag = int(s.mvee.RBStats().CurLag)
-		}
-		if st := s.state.Load(); st != Serving && st != Retired {
-			rep.Status = "degraded"
-		}
 		s.mu.Unlock()
-		// Headroom is how much of the master-ahead window remains: 1 at
-		// idle, 0 when the master is pinned against the lag budget. A
-		// lockstep shard (MaxLag 0) has no window to exhaust and reports 1.
-		h.LagHeadroom = 1
-		if h.MaxLag > 0 {
-			used := float64(h.CurLag) / float64(h.MaxLag)
-			if used > 1 {
-				used = 1
-			}
-			h.LagHeadroom = 1 - used
+		if state != Serving && state != Retired {
+			rep.Status = "degraded"
 		}
 		rep.Shards = append(rep.Shards, h)
 	}
@@ -166,7 +150,6 @@ func (f *Fleet) collectFleet(sam *telemetry.Sampler) {
 func (f *Fleet) collectShard(s *shard, sam *telemetry.Sampler) {
 	s.mu.Lock()
 	state, gen := s.state.Load(), int(s.gen.Load())
-	maxLag, epoch := s.maxLag, s.epoch
 	occ := s.occ.Load()
 	inFlight := occConns(occ) + occPending(occ)
 	routed := s.connsRouted.Load()
@@ -189,11 +172,7 @@ func (f *Fleet) collectShard(s *shard, sam *telemetry.Sampler) {
 	} else {
 		sam.Metric("remon_shard_last_verdict_diverged", 0)
 	}
-	sam.Metric("remon_mvee_max_lag", float64(maxLag))
-	sam.Metric("remon_mvee_epoch_size", float64(epoch))
-
 	if mvee != nil {
-		// Overwrites the boot-knob gauges above with the live positions.
 		mvee.CollectTelemetry(sam)
 	}
 	if net != nil {

@@ -155,7 +155,7 @@ type Stats struct {
 	// mark). Overflow waits belong to the arbiter and are not counted.
 	LagWaits uint64
 
-	// Lag distribution (fleet.Controller's inputs). CurLag is the live
+	// Lag distribution. CurLag is the live
 	// distance, in entries, between the most-ahead partition's published
 	// sequence and its slowest slave's acknowledged consumption — sampled
 	// at snapshot time, wrap-safe, and only while a lag window is open

@@ -13,7 +13,7 @@ type fakeHealth struct{}
 func (fakeHealth) Health() HealthReport {
 	return HealthReport{
 		Status: "ok",
-		Shards: []ShardHealth{{Shard: 0, State: "serving", Policy: "SOCKET_RW", LagHeadroom: 1}},
+		Shards: []ShardHealth{{Shard: 0, State: "serving", Policy: "SOCKET_RW"}},
 	}
 }
 

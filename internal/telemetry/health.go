@@ -1,8 +1,8 @@
 // The health model: a JSON document describing each shard's lifecycle
-// state and headroom, served by the exporter at /health. The shape
-// deliberately mirrors what an external orchestrator needs to make the
-// same decisions fleet.Controller makes internally — serving set,
-// replication headroom, shed pressure, last verdict.
+// state and load, served by the exporter at /health. The shape mirrors
+// what an external orchestrator needs to make the decisions the fleet's
+// control loop makes internally — serving set, policy level, in-flight
+// load, shed pressure, last verdict.
 package telemetry
 
 import "encoding/json"
@@ -16,16 +16,8 @@ type ShardHealth struct {
 	Gen   int    `json:"gen"`
 	// Policy is the shard's active global relaxation level name.
 	Policy string `json:"policy"`
-	// MaxLag is the master-ahead replication window; CurLag the live
-	// distance to the slowest slave; LagHeadroom the remaining fraction
-	// of the window (1.0 = idle, 0.0 = saturated; 1.0 when MaxLag is 0 —
-	// a lockstep shard has no window to exhaust).
-	MaxLag      int     `json:"max_lag"`
-	CurLag      int     `json:"cur_lag"`
-	LagHeadroom float64 `json:"lag_headroom"`
-	// EpochSize is the divergence-checking window.
-	EpochSize int `json:"epoch_size"`
-	InFlight  int `json:"in_flight"`
+	// InFlight is tracked connections plus pending admissions.
+	InFlight int `json:"in_flight"`
 	// LastVerdict is the most recent divergence verdict reason (empty if
 	// the shard never diverged).
 	LastVerdict string `json:"last_verdict,omitempty"`
