@@ -2,8 +2,8 @@
 // the GHUMVEE rendezvous engine: R replicas x T logical threads, every
 // syscall lockstepped (ModeGHUMVEE), on the micro-syscall profile the
 // figures' "no IP-MON" bars are built from. The reported host-ns/mcall
-// metric is the PR-over-PR optimisation target; the virtual metrics stay
-// bit-identical across engines (asserted by the ghumvee golden tests).
+// metric is the optimisation target; the virtual metrics are
+// deterministic (asserted by the ghumvee golden tests).
 package remon
 
 import (
@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"remon/internal/core"
-	"remon/internal/ghumvee"
 	"remon/internal/libc"
 )
 
@@ -35,11 +34,11 @@ func lockstepProgram(threads, calls int) libc.Program {
 	}
 }
 
-func benchLockstep(b *testing.B, replicas, threads, epoch int) {
+func benchLockstep(b *testing.B, replicas, threads int) {
 	const callsPerThread = 60
 	prog := lockstepProgram(threads, callsPerThread)
 	m, err := core.New(core.Config{
-		Mode: core.ModeGHUMVEE, Replicas: replicas, Seed: 5, EpochSize: epoch,
+		Mode: core.ModeGHUMVEE, Replicas: replicas, Seed: 5,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -67,25 +66,13 @@ func benchLockstep(b *testing.B, replicas, threads, epoch int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(mcalls), "host-ns/mcall")
 }
 
-// BenchmarkGhumveeLockstep sweeps 2/4/8 replicas x 1/4/16 threads with
-// immediate verification (the reference configuration for PR-over-PR
-// comparison).
+// BenchmarkGhumveeLockstep sweeps 2/4/8 replicas x 1/4/16 threads.
 func BenchmarkGhumveeLockstep(b *testing.B) {
 	for _, r := range []int{2, 4, 8} {
 		for _, t := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("r%d/t%d", r, t), func(b *testing.B) {
-				benchLockstep(b, r, t, 1)
+				benchLockstep(b, r, t)
 			})
 		}
-	}
-}
-
-// BenchmarkGhumveeLockstepEpoch runs the same profile with epoch-batched
-// divergence checking enabled.
-func BenchmarkGhumveeLockstepEpoch(b *testing.B) {
-	for _, r := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("r%d/t4", r), func(b *testing.B) {
-			benchLockstep(b, r, 4, ghumvee.DefaultEpochSize)
-		})
 	}
 }

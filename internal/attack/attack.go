@@ -41,35 +41,27 @@ func (o Outcome) String() string {
 
 // remonCfg is the standard 2-replica ReMon deployment attacks run against.
 func remonCfg() core.Config {
-	return remonCfgAt(policy.SocketRWLevel, 1)
+	return remonCfgAt(policy.SocketRWLevel, 0)
 }
 
-// suiteMaxLag is the master-ahead window the suite's ReMon deployments
-// run at — the third axis of the golden verdict matrix. It is set only
-// by RunSuiteAtLag (which restores it); the suite is not meant to run
-// concurrently with itself.
-var suiteMaxLag int
-
 // remonCfgAt parameterises the deployment by relaxation level and
-// divergence-checking epoch — two axes of the golden verdict matrix (the
-// third, the master-ahead lag window, rides on suiteMaxLag).
-func remonCfgAt(level policy.Level, epoch int) core.Config {
+// master-ahead lag window — the per-instance axes of the golden verdict
+// matrix.
+func remonCfgAt(level policy.Level, maxLag int) core.Config {
 	return core.Config{
 		Mode: core.ModeReMon, Replicas: 2, Policy: level,
-		Partitions: 8, EpochSize: epoch, MaxLag: suiteMaxLag,
+		Partitions: 8, MaxLag: maxLag,
 	}
 }
 
 // DivergentWriteMonitored simulates a compromised master issuing a
 // sensitive call with attacker-controlled arguments (the replicas, being
 // diversified, cannot be compromised consistently — §4 property iii).
-// Expected: GHUMVEE's lockstep comparison detects the divergence.
-func DivergentWriteMonitored() Outcome { return DivergentWriteMonitoredAt(1) }
-
-// DivergentWriteMonitoredAt is the epoch-parameterised variant (the CP
-// monitor path has no relaxation level).
-func DivergentWriteMonitoredAt(epoch int) Outcome {
-	rep, err := core.RunProgram(core.Config{Mode: core.ModeGHUMVEE, Replicas: 2, EpochSize: epoch}, func(env *libc.Env) {
+// Expected: GHUMVEE's lockstep comparison detects the divergence. The CP
+// monitor path has neither a relaxation level nor a lag window, so the
+// scenario takes no matrix coordinates.
+func DivergentWriteMonitored() Outcome {
+	rep, err := core.RunProgram(core.Config{Mode: core.ModeGHUMVEE, Replicas: 2}, func(env *libc.Env) {
 		payload := []byte("GET /index.html")
 		if env.T.Proc.ReplicaIndex == 0 {
 			payload = []byte("/bin/sh -c pwn!") // hijacked master
@@ -92,7 +84,7 @@ func DivergentWriteMonitoredAt(epoch int) Outcome {
 // unmonitored path: the slave's in-process argument comparison must catch
 // it and crash intentionally (§3.3).
 func DivergentWriteUnmonitored() Outcome {
-	return DivergentWriteUnmonitoredAt(policy.SocketRWLevel, 1)
+	return DivergentWriteUnmonitoredAt(policy.SocketRWLevel, 0)
 }
 
 // DivergentWriteUnmonitoredAt parameterises the divergent file write by
@@ -101,8 +93,8 @@ func DivergentWriteUnmonitored() Outcome {
 // stays on the lockstep path and GHUMVEE must catch it instead. Either
 // way the attack is detected — which monitor does the catching is the
 // only level-dependent part of the verdict.
-func DivergentWriteUnmonitoredAt(level policy.Level, epoch int) Outcome {
-	rep, err := core.RunProgram(remonCfgAt(level, epoch), func(env *libc.Env) {
+func DivergentWriteUnmonitoredAt(level policy.Level, maxLag int) Outcome {
+	rep, err := core.RunProgram(remonCfgAt(level, maxLag), func(env *libc.Env) {
 		payload := []byte("benign-file-write-content-xyz")
 		if env.T.Proc.ReplicaIndex == 0 {
 			payload = []byte("malicious-exfiltrated-secret!")
@@ -131,12 +123,12 @@ func DivergentWriteUnmonitoredAt(level policy.Level, epoch int) Outcome {
 // DivergentSyscallSequence simulates a hijacked master executing an extra
 // sensitive syscall (classic payload behaviour).
 func DivergentSyscallSequence() Outcome {
-	return DivergentSyscallSequenceAt(policy.SocketRWLevel, 1)
+	return DivergentSyscallSequenceAt(policy.SocketRWLevel, 0)
 }
 
-// DivergentSyscallSequenceAt is the level/epoch-parameterised variant.
-func DivergentSyscallSequenceAt(level policy.Level, epoch int) Outcome {
-	rep, err := core.RunProgram(remonCfgAt(level, epoch), func(env *libc.Env) {
+// DivergentSyscallSequenceAt is the level/lag-parameterised variant.
+func DivergentSyscallSequenceAt(level policy.Level, maxLag int) Outcome {
+	rep, err := core.RunProgram(remonCfgAt(level, maxLag), func(env *libc.Env) {
 		env.Getpid()
 		if env.T.Proc.ReplicaIndex == 0 {
 			// Payload: open a sensitive file only in the master.
@@ -160,16 +152,16 @@ func DivergentSyscallSequenceAt(level policy.Level, epoch int) Outcome {
 // authorization token (§3.1): the attacker calls the IK-B verifier
 // directly with a forged 64-bit value. Expected: IK-B revokes and forces
 // the ptrace path, recording the violation.
-func TokenForgery() Outcome { return TokenForgeryAt(policy.SocketRWLevel, 1) }
+func TokenForgery() Outcome { return TokenForgeryAt(policy.SocketRWLevel, 0) }
 
-// TokenForgeryAt is the level/epoch-parameterised variant.
-func TokenForgeryAt(level policy.Level, epoch int) Outcome {
+// TokenForgeryAt is the level/lag-parameterised variant.
+func TokenForgeryAt(level policy.Level, maxLag int) Outcome {
 	// The forged completion deliberately desynchronises the lockstep
 	// group: the run only ends when the rendezvous watchdog fires. The
 	// scenario has no legitimate blocking at all, so run this instance
 	// with a short per-monitor watchdog instead of idling 10 wall-clock
 	// seconds (and instead of racing other live MVEEs on a global).
-	cfg := remonCfgAt(level, epoch)
+	cfg := remonCfgAt(level, maxLag)
 	cfg.LockstepTimeout = 250 * time.Millisecond
 
 	m, err := core.New(cfg)
@@ -208,11 +200,11 @@ func TokenForgeryAt(level policy.Level, epoch int) Outcome {
 // completing it. Expected: IK-B revokes the outstanding token (§3.1,
 // "if the first system call executed after a token has been granted does
 // not originate from within IP-MON itself").
-func StaleTokenReplay() Outcome { return StaleTokenReplayAt(policy.SocketRWLevel, 1) }
+func StaleTokenReplay() Outcome { return StaleTokenReplayAt(policy.SocketRWLevel, 0) }
 
-// StaleTokenReplayAt is the level/epoch-parameterised variant.
-func StaleTokenReplayAt(level policy.Level, epoch int) Outcome {
-	m, err := core.New(remonCfgAt(level, epoch))
+// StaleTokenReplayAt is the level/lag-parameterised variant.
+func StaleTokenReplayAt(level policy.Level, maxLag int) Outcome {
+	m, err := core.New(remonCfgAt(level, maxLag))
 	if err != nil {
 		return Outcome{Name: "stale token replay", Detail: err.Error()}
 	}
@@ -233,14 +225,14 @@ func StaleTokenReplayAt(level policy.Level, epoch int) Outcome {
 
 // SharedMemoryChannel: replicas request a System V segment to build the
 // unmonitored bidirectional channel §2.1 forbids. Expected: EPERM.
-func SharedMemoryChannel() Outcome { return SharedMemoryChannelAt(policy.SocketRWLevel, 1) }
+func SharedMemoryChannel() Outcome { return SharedMemoryChannelAt(policy.SocketRWLevel, 0) }
 
-// SharedMemoryChannelAt is the level/epoch-parameterised variant (shmget
+// SharedMemoryChannelAt is the level/lag-parameterised variant (shmget
 // is sensitive at every level).
-func SharedMemoryChannelAt(level policy.Level, epoch int) Outcome {
+func SharedMemoryChannelAt(level policy.Level, maxLag int) Outcome {
 	var errsMu sync.Mutex
 	var errs []vkernel.Errno
-	rep, err := core.RunProgram(remonCfgAt(level, epoch), func(env *libc.Env) {
+	rep, err := core.RunProgram(remonCfgAt(level, maxLag), func(env *libc.Env) {
 		r := env.T.Syscall(vkernel.SysShmget, 42, 1<<16, 0)
 		errsMu.Lock()
 		errs = append(errs, r.Errno)
@@ -265,13 +257,13 @@ func SharedMemoryChannelAt(level policy.Level, epoch int) Outcome {
 // RBDisclosureViaProcMaps scans the maps the replica can read for any
 // region whose address matches the true RB mapping (§3.1's filtering).
 func RBDisclosureViaProcMaps() Outcome {
-	return RBDisclosureViaProcMapsAt(policy.SocketRWLevel, 1)
+	return RBDisclosureViaProcMapsAt(policy.SocketRWLevel, 0)
 }
 
-// RBDisclosureViaProcMapsAt is the level/epoch-parameterised variant
+// RBDisclosureViaProcMapsAt is the level/lag-parameterised variant
 // (special-file reads are force-forwarded for filtering at every level).
-func RBDisclosureViaProcMapsAt(level policy.Level, epoch int) Outcome {
-	m, err := core.New(remonCfgAt(level, epoch))
+func RBDisclosureViaProcMapsAt(level policy.Level, maxLag int) Outcome {
+	m, err := core.New(remonCfgAt(level, maxLag))
 	if err != nil {
 		return Outcome{Name: "RB disclosure via /proc/maps", Detail: err.Error()}
 	}
@@ -318,11 +310,11 @@ func RBDisclosureViaProcMapsAt(level policy.Level, epoch int) Outcome {
 // for the 8-byte little-endian encoding of the RB base address — the
 // §3.1 register-only discipline means it must never appear in process
 // memory.
-func RBPointerLeakScan() Outcome { return RBPointerLeakScanAt(policy.SocketRWLevel, 1) }
+func RBPointerLeakScan() Outcome { return RBPointerLeakScanAt(policy.SocketRWLevel, 0) }
 
-// RBPointerLeakScanAt is the level/epoch-parameterised variant.
-func RBPointerLeakScanAt(level policy.Level, epoch int) Outcome {
-	m, err := core.New(remonCfgAt(level, epoch))
+// RBPointerLeakScanAt is the level/lag-parameterised variant.
+func RBPointerLeakScanAt(level policy.Level, maxLag int) Outcome {
+	m, err := core.New(remonCfgAt(level, maxLag))
 	if err != nil {
 		return Outcome{Name: "RB pointer leak scan", Detail: err.Error()}
 	}
@@ -463,18 +455,18 @@ func DCLIntegrity() Outcome {
 // master can issue before the slave's comparison catches the divergence —
 // the window §4 discusses, bounded by the RB capacity.
 func MasterRunAheadWindow(rbSize uint64) Outcome {
-	return MasterRunAheadWindowAt(rbSize, policy.SocketRWLevel, 1)
+	return MasterRunAheadWindowAt(rbSize, policy.SocketRWLevel, 0)
 }
 
-// MasterRunAheadWindowAt is the level/epoch-parameterised variant. Below
+// MasterRunAheadWindowAt is the level/lag-parameterised variant. Below
 // NONSOCKET_RW the "unmonitored spray" degenerates: every write is
 // lockstepped and the very first one is caught — the run-ahead window of
 // §4 exists only where relaxation does.
-func MasterRunAheadWindowAt(rbSize uint64, level policy.Level, epoch int) Outcome {
+func MasterRunAheadWindowAt(rbSize uint64, level policy.Level, maxLag int) Outcome {
 	calls := 0
 	rep, err := core.RunProgram(core.Config{
 		Mode: core.ModeReMon, Replicas: 2, Policy: level,
-		RBSize: rbSize, Partitions: 1, EpochSize: epoch, MaxLag: suiteMaxLag,
+		RBSize: rbSize, Partitions: 1, MaxLag: maxLag,
 	}, func(env *libc.Env) {
 		fd, _ := env.Open("/tmp/runahead", vkernel.OCreat|vkernel.ORdwr, 0o644)
 		if env.T.Proc.ReplicaIndex == 0 {
@@ -559,24 +551,25 @@ func FleetShardCompromise() Outcome {
 }
 
 // DetailStable reports whether a scenario's Detail string is
-// deterministic for a fixed (level, epoch) cell. The "master run-ahead
+// deterministic for a fixed (level, lag) cell. The "master run-ahead
 // window" scenarios (including the budgeted RB-size sweep variants)
 // report the host-scheduling-dependent run-ahead depth, so only their
 // verdicts — never their details — participate in golden comparisons.
 // Every other suite scenario, and every trace the generator
 // (internal/attack/gen) emits, must keep its detail bit-identical across
-// epoch and lag settings.
+// lag and shard settings.
 func DetailStable(name string) bool {
 	return !strings.HasPrefix(name, "master run-ahead window")
 }
 
 // RunSuiteAt executes every single-instance scenario of the suite under
-// one (relaxation level, epoch) cell — the golden-verdict-matrix row.
+// one (relaxation level, lag window) cell — the golden-verdict-matrix
+// row; maxLag 0 is lockstep publication.
 // Excluded by construction: the VARAN baseline contrast (no ReMon
 // instance), the analytic entropy and DCL checks (no policy axis), and
 // the fleet scenario (covered separately; seconds per run).
-func RunSuiteAt(level policy.Level, epoch int) []Outcome {
-	return RunSuiteAtBudget(level, epoch, SuiteBudget{})
+func RunSuiteAt(level policy.Level, maxLag int) []Outcome {
+	return RunSuiteAtBudget(level, maxLag, SuiteBudget{})
 }
 
 // SuiteBudget bounds the multi-instance scenarios a golden-matrix cell
@@ -603,22 +596,22 @@ func FullBudget() SuiteBudget {
 
 // RunSuiteAtBudget is RunSuiteAt with the multi-instance scenarios
 // folded in behind the cell budget.
-func RunSuiteAtBudget(level policy.Level, epoch int, b SuiteBudget) []Outcome {
+func RunSuiteAtBudget(level policy.Level, maxLag int, b SuiteBudget) []Outcome {
 	out := []Outcome{
-		DivergentWriteMonitoredAt(epoch),
-		DivergentWriteUnmonitoredAt(level, epoch),
-		DivergentSyscallSequenceAt(level, epoch),
-		TokenForgeryAt(level, epoch),
-		StaleTokenReplayAt(level, epoch),
-		SharedMemoryChannelAt(level, epoch),
-		RBDisclosureViaProcMapsAt(level, epoch),
-		RBPointerLeakScanAt(level, epoch),
+		DivergentWriteMonitored(),
+		DivergentWriteUnmonitoredAt(level, maxLag),
+		DivergentSyscallSequenceAt(level, maxLag),
+		TokenForgeryAt(level, maxLag),
+		StaleTokenReplayAt(level, maxLag),
+		SharedMemoryChannelAt(level, maxLag),
+		RBDisclosureViaProcMapsAt(level, maxLag),
+		RBPointerLeakScanAt(level, maxLag),
 	}
 	if len(b.RunAheadRBSizes) == 0 {
-		out = append(out, MasterRunAheadWindowAt(1<<20, level, epoch))
+		out = append(out, MasterRunAheadWindowAt(1<<20, level, maxLag))
 	} else {
 		for _, sz := range b.RunAheadRBSizes {
-			o := MasterRunAheadWindowAt(sz, level, epoch)
+			o := MasterRunAheadWindowAt(sz, level, maxLag)
 			o.Name = fmt.Sprintf("master run-ahead window (rb=%dKiB)", sz>>10)
 			out = append(out, o)
 		}
@@ -629,35 +622,11 @@ func RunSuiteAtBudget(level policy.Level, epoch int, b SuiteBudget) []Outcome {
 	return out
 }
 
-// withSuiteLag installs the suite's MaxLag override around f, restoring
-// the previous value even when f panics — a panicking scenario must not
-// leak the lag override into later golden-matrix cells.
-func withSuiteLag(maxLag int, f func() []Outcome) []Outcome {
-	prev := suiteMaxLag
-	suiteMaxLag = maxLag
-	defer func() { suiteMaxLag = prev }()
-	return f()
-}
-
-// RunSuiteAtLag runs the golden-matrix cell with the suite's ReMon
-// deployments at the given master-ahead lag window (0 = the lockstep
-// publication every other entry point uses). Not safe concurrently with
-// other suite runs — the lag rides on package state by design (every
-// scenario constructor keeps its two-axis signature).
-func RunSuiteAtLag(level policy.Level, epoch, maxLag int) []Outcome {
-	return withSuiteLag(maxLag, func() []Outcome { return RunSuiteAt(level, epoch) })
-}
-
-// RunSuiteAtLagBudget is RunSuiteAtLag with an explicit cell budget.
-func RunSuiteAtLagBudget(level policy.Level, epoch, maxLag int, b SuiteBudget) []Outcome {
-	return withSuiteLag(maxLag, func() []Outcome { return RunSuiteAtBudget(level, epoch, b) })
-}
-
 // RunAll executes the full suite: the golden-matrix cell at its standard
 // SOCKET_RW coordinates under the full budget (entropy sampling and the
 // run-ahead RB sweep included), plus the scenarios with no policy axis.
 func RunAll() []Outcome {
-	out := RunSuiteAtBudget(policy.SocketRWLevel, 1, FullBudget())
+	out := RunSuiteAtBudget(policy.SocketRWLevel, 0, FullBudget())
 	return append(out,
 		DCLIntegrity(),
 		VaranMissesDivergentWrite(),

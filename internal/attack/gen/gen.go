@@ -7,14 +7,14 @@
 // The security claim under test is the paper's §4 argument made
 // mechanical: no matter which class the vulnerability falls in, which
 // descriptor it targets, where in the call stream the payload lands, or
-// how the deployment is tuned (relaxation level, epoch batching,
-// master-ahead lag, shard count), the divergence between the compromised
+// how the deployment is tuned (relaxation level, master-ahead lag,
+// shard count), the divergence between the compromised
 // master and the benign replica is caught — by IP-MON's in-process frame
 // comparison when the tampered call is relaxed, by GHUMVEE's lockstep
 // rendezvous when it is monitored, and by the IK-B verifier when the
 // attack forges capabilities instead of diverging. Every generated trace
 // must end DEFEATED in every grid cell, with bit-identical verdict
-// detail across lag and epoch settings.
+// detail across lag and shard settings.
 //
 // Generation is deterministic: a template's parameters (target fd class,
 // payload shape, injection offset) derive from model.NewRNG seeded by

@@ -102,7 +102,7 @@ func TestCorpusHealthyWithoutTamper(t *testing.T) {
 		}
 		rep, err := core.RunProgram(core.Config{
 			Mode: core.ModeReMon, Replicas: 2, Policy: policy.SocketRWLevel,
-			Partitions: 8, EpochSize: 1, Seed: instanceSeed(0),
+			Partitions: 8, Seed: instanceSeed(0),
 		}, workload.TraceProgram(ops, nil))
 		if err != nil {
 			t.Fatalf("%s: %v", tr.Name, err)

@@ -18,7 +18,6 @@ import (
 // Cell is one configuration-grid coordinate.
 type Cell struct {
 	Level  policy.Level
-	Epoch  int
 	MaxLag int
 	// Shards is the number of concurrent, independently seeded MVEE
 	// instances the trace replays through in this cell. Every instance
@@ -29,35 +28,32 @@ type Cell struct {
 }
 
 func (c Cell) String() string {
-	return fmt.Sprintf("%s/epoch=%d/lag=%d/shards=%d", c.Level, c.Epoch, c.MaxLag, c.Shards)
+	return fmt.Sprintf("%s/lag=%d/shards=%d", c.Level, c.MaxLag, c.Shards)
 }
 
 // Grid is the full acceptance grid: policy-level{BASE..SOCKET_RW} ×
-// epoch{1,16} × MaxLag{0,8,64} × shard{1,4} — 60 cells.
+// MaxLag{0,8,64} × shard{1,4} — 30 cells.
 func Grid() []Cell {
 	return buildGrid(
 		[]policy.Level{policy.BaseLevel, policy.NonsocketROLevel, policy.NonsocketRWLevel, policy.SocketROLevel, policy.SocketRWLevel},
-		[]int{1, 16}, []int{0, 8, 64}, []int{1, 4})
+		[]int{0, 8, 64}, []int{1, 4})
 }
 
 // SmallGrid is the CI-smoke slice: the two relaxation extremes plus the
-// non-socket write level, both epochs, the lag extremes, single shard —
-// 12 cells. It keeps the cross-(epoch, lag) detail comparison meaningful
-// while staying cheap.
+// non-socket write level, the lag extremes, single shard — 6 cells. It
+// keeps the cross-lag detail comparison meaningful while staying cheap.
 func SmallGrid() []Cell {
 	return buildGrid(
 		[]policy.Level{policy.BaseLevel, policy.NonsocketRWLevel, policy.SocketRWLevel},
-		[]int{1, 16}, []int{0, 64}, []int{1})
+		[]int{0, 64}, []int{1})
 }
 
-func buildGrid(levels []policy.Level, epochs, lags, shards []int) []Cell {
+func buildGrid(levels []policy.Level, lags, shards []int) []Cell {
 	var cells []Cell
 	for _, l := range levels {
-		for _, e := range epochs {
-			for _, lag := range lags {
-				for _, sh := range shards {
-					cells = append(cells, Cell{Level: l, Epoch: e, MaxLag: lag, Shards: sh})
-				}
+		for _, lag := range lags {
+			for _, sh := range shards {
+				cells = append(cells, Cell{Level: l, MaxLag: lag, Shards: sh})
 			}
 		}
 	}
@@ -98,7 +94,6 @@ func runInstance(tr *Trace, c Cell, shard int) (defeated bool, detail string, ip
 		Replicas:   2,
 		Policy:     c.Level,
 		Partitions: 8,
-		EpochSize:  c.Epoch,
 		MaxLag:     c.MaxLag,
 		Seed:       instanceSeed(shard),
 	}
@@ -220,7 +215,7 @@ func RunMatrix(traces []*Trace, cells []Cell) []CellResult {
 func RunFleetClass(tr *Trace, shards int, level policy.Level) CellResult {
 	res := CellResult{
 		Trace: tr.Name, Class: tr.Class, Variant: tr.Variant,
-		Cell: Cell{Level: level, Epoch: 1, MaxLag: 0, Shards: shards},
+		Cell: Cell{Level: level, Shards: shards},
 	}
 	lv := level
 	f, err := fleet.New(fleet.Config{

@@ -8,16 +8,16 @@ import (
 )
 
 func TestGridShape(t *testing.T) {
-	if got := len(Grid()); got != 60 {
-		t.Errorf("full grid has %d cells, want 60", got)
+	if got := len(Grid()); got != 30 {
+		t.Errorf("full grid has %d cells, want 30", got)
 	}
-	if got := len(SmallGrid()); got != 12 {
-		t.Errorf("small grid has %d cells, want 12", got)
+	if got := len(SmallGrid()); got != 6 {
+		t.Errorf("small grid has %d cells, want 6", got)
 	}
 }
 
-// acceptanceCells picks the grid for the environment: the full 120-cell
-// grid for tier-1 runs, the 12-cell smoke slice under -short and under
+// acceptanceCells picks the grid for the environment: the full 30-cell
+// grid for tier-1 runs, the 6-cell smoke slice under -short and under
 // the race detector (where the full grid is a multi-minute run and the
 // job is interleaving coverage, not grid coverage).
 func acceptanceCells(t *testing.T) []Cell {
@@ -30,7 +30,7 @@ func acceptanceCells(t *testing.T) []Cell {
 // TestAttackGenMatrix is the tentpole acceptance bar: every generated
 // trace must end DEFEATED in every grid cell, and within each (trace,
 // level) group the verdict detail must be bit-identical across every
-// epoch, lag and shard setting — deployment tuning may change *cost*,
+// lag and shard setting — deployment tuning may change *cost*,
 // never the verdict or its evidence.
 func TestAttackGenMatrix(t *testing.T) {
 	traces := Traces(Params{})
@@ -86,12 +86,12 @@ func TestAttackGenAttribution(t *testing.T) {
 	if sockTrace == nil {
 		t.Fatal("no socket-target overflow trace in corpus")
 	}
-	relaxed := RunCell(sockTrace, Cell{Level: policy.SocketRWLevel, Epoch: 1, Shards: 1})
+	relaxed := RunCell(sockTrace, Cell{Level: policy.SocketRWLevel, Shards: 1})
 	if !relaxed.Defeated || !relaxed.IPMonCaught {
 		t.Errorf("SOCKET_RW: want in-process catch, got defeated=%v ipmon=%v (%s)",
 			relaxed.Defeated, relaxed.IPMonCaught, relaxed.Detail)
 	}
-	strict := RunCell(sockTrace, Cell{Level: policy.BaseLevel, Epoch: 1, Shards: 1})
+	strict := RunCell(sockTrace, Cell{Level: policy.BaseLevel, Shards: 1})
 	if !strict.Defeated || strict.IPMonCaught {
 		t.Errorf("BASE: want lockstep catch, got defeated=%v ipmon=%v (%s)",
 			strict.Defeated, strict.IPMonCaught, strict.Detail)

@@ -1,23 +1,45 @@
 package attack
 
 import (
+	"fmt"
 	"testing"
 
 	"remon/internal/policy"
 )
 
+// compareCells checks one golden-matrix cell against its reference cell:
+// every scenario DEFEATED, the same scenario order, and bit-identical
+// verdict detail — except the run-ahead scenario, whose detail reports a
+// host-timing-dependent depth (DetailStable).
+func compareCells(t *testing.T, label string, ref, got []Outcome) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: suite sizes differ: %d vs %d", label, len(got), len(ref))
+	}
+	for i := range got {
+		re, o := ref[i], got[i]
+		if re.Name != o.Name {
+			t.Fatalf("%s: scenario order drift: %q vs %q", label, re.Name, o.Name)
+		}
+		if !o.Detected {
+			t.Errorf("%s: %s", label, o)
+		}
+		if DetailStable(o.Name) && o.Detail != re.Detail {
+			t.Errorf("%s %q: verdict detail differs from the lockstep reference:\n  ref: %s\n  got: %s",
+				label, o.Name, re.Detail, o.Detail)
+		}
+	}
+}
+
 // TestGoldenVerdictMatrix runs the single-instance attack suite at every
-// relaxation level × {immediate, epoch=16} and snapshot-compares the
-// verdicts:
+// relaxation level × MaxLag {0, 64} and snapshot-compares the verdicts:
 //
 //   - every scenario must be DEFEATED in every cell — the relaxation
 //     spectrum moves detection between monitors (GHUMVEE lockstep vs the
 //     slave's in-process RB comparison) but never loses it;
-//   - for a fixed level, the full verdict detail strings must be
-//     bit-identical between epoch=1 and epoch=16 (the PR 3 epoch
-//     invariant, re-proven through the attack suite) — except the
-//     run-ahead scenario, whose detail reports a host-timing-dependent
-//     depth (DetailStable).
+//   - for a fixed level, the verdict detail strings must be
+//     bit-identical between lockstep publication and the widest lag
+//     window.
 //
 // Level-dependent detail drift (beyond the detector attribution the
 // scenarios explicitly model) would show up here as a DEFEATED/SURVIVED
@@ -28,68 +50,34 @@ func TestGoldenVerdictMatrix(t *testing.T) {
 		levels = []policy.Level{policy.BaseLevel, policy.SocketRWLevel}
 	}
 	for _, lv := range levels {
-		immediate := RunSuiteAt(lv, 1)
-		batched := RunSuiteAt(lv, 16)
-		if len(immediate) != len(batched) {
-			t.Fatalf("%v: suite sizes differ", lv)
-		}
-		for i := range immediate {
-			im, ba := immediate[i], batched[i]
-			if im.Name != ba.Name {
-				t.Fatalf("%v: scenario order drift: %q vs %q", lv, im.Name, ba.Name)
-			}
-			if !im.Detected {
-				t.Errorf("%v epoch=1: %s", lv, im)
-			}
-			if !ba.Detected {
-				t.Errorf("%v epoch=16: %s", lv, ba)
-			}
-			if DetailStable(im.Name) && im.Detail != ba.Detail {
-				t.Errorf("%v %q: verdict detail differs across epochs:\n  epoch=1:  %s\n  epoch=16: %s",
-					lv, im.Name, im.Detail, ba.Detail)
+		ref := RunSuiteAt(lv, 0)
+		for i := range ref {
+			if !ref[i].Detected {
+				t.Errorf("%v lag=0: %s", lv, ref[i])
 			}
 		}
+		compareCells(t, fmt.Sprintf("%v lag=64", lv), ref, RunSuiteAt(lv, 64))
 	}
 }
 
-// TestGoldenVerdictMatrixPipeline extends the matrix with the
-// master-ahead lag window (PR 5): MaxLag ∈ {0, 8, 64} × epoch {1, 16}
-// at the suite's standard SOCKET_RW level. Every scenario must stay
-// DEFEATED in every cell, and the stable verdict detail strings must be
-// bit-identical to the MaxLag=0 lockstep reference — the pipeline moves
-// publication and detection timing, never verdicts.
+// TestGoldenVerdictMatrixPipeline sweeps the master-ahead lag window
+// MaxLag ∈ {0, 8, 64} at the suite's standard SOCKET_RW level. Every
+// scenario must stay DEFEATED in every cell, and the stable verdict
+// detail strings must be bit-identical to the MaxLag=0 lockstep
+// reference — the pipeline moves publication and detection timing,
+// never verdicts.
 func TestGoldenVerdictMatrixPipeline(t *testing.T) {
-	epochs := []int{1, 16}
 	lags := []int{0, 8, 64}
 	if testing.Short() {
-		epochs = []int{16}
 		lags = []int{0, 64}
 	}
-	for _, epoch := range epochs {
-		ref := RunSuiteAtLag(policy.SocketRWLevel, epoch, 0)
-		for i := range ref {
-			if !ref[i].Detected {
-				t.Errorf("epoch=%d lag=0: %s", epoch, ref[i])
-			}
+	ref := RunSuiteAt(policy.SocketRWLevel, 0)
+	for i := range ref {
+		if !ref[i].Detected {
+			t.Errorf("lag=0: %s", ref[i])
 		}
-		for _, lag := range lags[1:] {
-			got := RunSuiteAtLag(policy.SocketRWLevel, epoch, lag)
-			if len(got) != len(ref) {
-				t.Fatalf("epoch=%d lag=%d: suite sizes differ", epoch, lag)
-			}
-			for i := range got {
-				re, ba := ref[i], got[i]
-				if re.Name != ba.Name {
-					t.Fatalf("epoch=%d lag=%d: scenario order drift: %q vs %q", epoch, lag, re.Name, ba.Name)
-				}
-				if !ba.Detected {
-					t.Errorf("epoch=%d lag=%d: %s", epoch, lag, ba)
-				}
-				if DetailStable(ba.Name) && ba.Detail != re.Detail {
-					t.Errorf("epoch=%d %q: verdict detail differs across lag windows:\n  lag=0:  %s\n  lag=%d: %s",
-						epoch, ba.Name, re.Detail, lag, ba.Detail)
-				}
-			}
-		}
+	}
+	for _, lag := range lags[1:] {
+		compareCells(t, fmt.Sprintf("lag=%d", lag), ref, RunSuiteAt(policy.SocketRWLevel, lag))
 	}
 }

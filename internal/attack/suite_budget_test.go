@@ -8,39 +8,6 @@ import (
 	"remon/internal/policy"
 )
 
-// The MaxLag save/restore contract: a panicking scenario must not leak
-// the suite's lag override into later golden-matrix cells.
-func TestWithSuiteLagRestoresOnPanic(t *testing.T) {
-	prev := suiteMaxLag
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("scenario panic was swallowed")
-			}
-		}()
-		withSuiteLag(64, func() []Outcome { panic("scenario exploded") })
-	}()
-	if suiteMaxLag != prev {
-		t.Fatalf("suiteMaxLag leaked: got %d, want %d", suiteMaxLag, prev)
-	}
-}
-
-func TestWithSuiteLagRestoresOnReturn(t *testing.T) {
-	prev := suiteMaxLag
-	out := withSuiteLag(8, func() []Outcome {
-		if suiteMaxLag != 8 {
-			t.Errorf("override not installed: suiteMaxLag=%d", suiteMaxLag)
-		}
-		return []Outcome{{Name: "probe"}}
-	})
-	if len(out) != 1 || out[0].Name != "probe" {
-		t.Errorf("outcomes not passed through: %v", out)
-	}
-	if suiteMaxLag != prev {
-		t.Fatalf("suiteMaxLag leaked: got %d, want %d", suiteMaxLag, prev)
-	}
-}
-
 // DetailStable must hold for every suite scenario and every generated
 // trace except the run-ahead family, whose Detail reports the
 // host-scheduling-dependent run-ahead depth (how many unmonitored calls
@@ -82,17 +49,13 @@ func TestDetailStableTable(t *testing.T) {
 }
 
 // The budgeted suite entry point: the full budget folds the RB-size
-// run-ahead sweep and the entropy sampling into a lagged cell, every
-// outcome is a defeat, and the lag override is restored afterwards.
-func TestRunSuiteAtLagBudget(t *testing.T) {
+// run-ahead sweep and the entropy sampling into a lagged cell, and every
+// outcome is a defeat.
+func TestRunSuiteAtBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-budget suite skipped in -short")
 	}
-	prev := suiteMaxLag
-	out := RunSuiteAtLagBudget(policy.SocketRWLevel, 1, 8, FullBudget())
-	if suiteMaxLag != prev {
-		t.Fatalf("suiteMaxLag leaked: got %d, want %d", suiteMaxLag, prev)
-	}
+	out := RunSuiteAtBudget(policy.SocketRWLevel, 8, FullBudget())
 	names := map[string]bool{}
 	for _, o := range out {
 		names[o.Name] = true
@@ -111,7 +74,7 @@ func TestRunSuiteAtLagBudget(t *testing.T) {
 	}
 	// The unbudgeted entry point keeps the historical single-window name
 	// (golden matrices depend on it) and omits the entropy scan.
-	lean := RunSuiteAt(policy.SocketRWLevel, 1)
+	lean := RunSuiteAt(policy.SocketRWLevel, 0)
 	leanNames := map[string]bool{}
 	for _, o := range lean {
 		leanNames[o.Name] = true

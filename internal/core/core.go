@@ -94,12 +94,6 @@ type Config struct {
 	// instance (0 keeps ghumvee.DefaultLockstepTimeout). Per-instance
 	// state: concurrent MVEEs — a fleet — can run different watchdogs.
 	LockstepTimeout time.Duration
-	// EpochSize sets GHUMVEE's divergence-checking window: batchable
-	// monitored calls accumulate and verify together at epoch boundaries
-	// (ghumvee.DefaultEpochSize is the recommended batching value; 0 or 1
-	// keeps immediate per-call verification). Virtual-time metrics are
-	// identical either way — only host-side monitor work is batched.
-	EpochSize int
 	// MaxLag is the starting lag window of the replication buffer
 	// (DESIGN.md §9); MVEE.SetMaxLag changes it live. At N > 0 the master
 	// completes checked, policy-batchable fast-path calls without waiting
@@ -208,7 +202,6 @@ func New(cfg Config) (*MVEE, error) {
 
 	m.Monitor = ghumvee.New(k, m.procs)
 	m.Monitor.SetLockstepTimeout(cfg.LockstepTimeout)
-	m.Monitor.SetEpochSize(cfg.EpochSize)
 	if cfg.OnVerdict != nil {
 		m.Monitor.SetVerdictHandler(cfg.OnVerdict)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -179,6 +180,75 @@ func TestDivergenceDetectedByIPMon(t *testing.T) {
 	}
 	if !strings.Contains(rep.Verdict.Reason, "crashed") {
 		t.Fatalf("verdict should flow through the intentional-crash path: %q", rep.Verdict.Reason)
+	}
+}
+
+// writevProg issues one two-buffer writev on a regular file; with
+// tamper, the master's second buffer differs from the slave's. The iovec
+// arrays and buffers sit at replica-private addresses, so only the
+// gathered contents may be compared.
+func writevProg(tamper bool) libc.Program {
+	return func(env *libc.Env) {
+		fd, _ := env.Open("/tmp/writev", vkernel.OCreat|vkernel.ORdwr, 0o644)
+		second := []byte("second-buffer")
+		if tamper && env.T.Proc.ReplicaIndex == 0 {
+			second = []byte("SECOND-BUFFER")
+		}
+		iov := env.Alloc(32)
+		var raw [32]byte
+		for i, b := range [][]byte{[]byte("first-buffer|"), second} {
+			a := env.Alloc(len(b))
+			env.WriteBytes(a, b)
+			binary.LittleEndian.PutUint64(raw[i*16:], uint64(a))
+			binary.LittleEndian.PutUint64(raw[i*16+8:], uint64(len(b)))
+		}
+		env.WriteBytes(iov, raw[:])
+		env.T.Syscall(vkernel.SysWritev, uint64(fd), uint64(iov), 2)
+		env.Close(fd)
+	}
+}
+
+// TestWritevIovecComparison drives both iovec comparators: GHUMVEE's
+// lockstep gather (ModeGHUMVEE) and the slave IP-MON's frame comparison
+// (ReMon at NONSOCKET_RW, where a regular-file writev is unmonitored).
+// Equal contents at different addresses pass; a differing second buffer
+// is convicted by the monitor the mode routes the call to.
+func TestWritevIovecComparison(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ghumvee", Config{Mode: ModeGHUMVEE, Replicas: 2}},
+		{"ipmon", Config{Mode: ModeReMon, Replicas: 2, Policy: policy.NonsocketRWLevel}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunProgram(tc.cfg, writevProg(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Verdict.Diverged {
+				t.Fatalf("equal iovec contents diverged: %+v", rep.Verdict)
+			}
+			rep, err = RunProgram(tc.cfg, writevProg(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ipDiv uint64
+			for _, s := range rep.IPMon {
+				ipDiv += s.Divergences
+			}
+			switch tc.cfg.Mode {
+			case ModeGHUMVEE:
+				want := "writev: iovec content differs"
+				if rep.Verdict.Reason != want || rep.Verdict.Syscall != "writev" {
+					t.Fatalf("verdict = %+v, want %q at writev", rep.Verdict, want)
+				}
+			default:
+				if !rep.Verdict.Diverged || ipDiv == 0 {
+					t.Fatalf("verdict = %+v, IP-MON divergences = %d: the slave comparison missed the iovec", rep.Verdict, ipDiv)
+				}
+			}
+		})
 	}
 }
 

@@ -16,20 +16,18 @@ import (
 )
 
 // pipelineGrid is the swept configuration space of the golden tests.
-var pipelineGrid = []struct{ maxLag, epoch int }{
-	{0, 1}, {0, 16}, {8, 1}, {8, 16}, {64, 1}, {64, 16},
-}
+var pipelineGrid = []int{0, 8, 64}
 
 // runMixedTrace executes a 4-thread mixed batchable/payload workload and
 // returns each worker's per-replica (val, errno) result stream.
-func runMixedTrace(t *testing.T, maxLag, epoch int) (map[string][]int64, bool, string) {
+func runMixedTrace(t *testing.T, maxLag int) (map[string][]int64, bool, string) {
 	t.Helper()
 	const workers = 4
 	var mu sync.Mutex
 	results := map[string][]int64{}
 	rep, err := core.RunProgram(core.Config{
 		Mode: core.ModeReMon, Replicas: 3, Policy: policy.SocketRWLevel,
-		MaxLag: maxLag, EpochSize: epoch, Partitions: workers,
+		MaxLag: maxLag, Partitions: workers,
 		Seed: 0x91AC0001, LockstepTimeout: 60 * time.Second,
 	}, func(env *libc.Env) {
 		ri := env.T.Proc.ReplicaIndex
@@ -88,39 +86,39 @@ func runMixedTrace(t *testing.T, maxLag, epoch int) (map[string][]int64, bool, s
 		}
 	})
 	if err != nil {
-		t.Fatalf("MaxLag=%d epoch=%d: %v", maxLag, epoch, err)
+		t.Fatalf("MaxLag=%d: %v", maxLag, err)
 	}
 	return results, rep.Verdict.Diverged, rep.Verdict.Reason
 }
 
 // TestPipelineResultEquivalence: per-replica, per-thread result streams
-// of a healthy mixed workload are bit-identical across every MaxLag ×
-// epoch cell — the pipeline moves publication, not semantics. The
+// of a healthy mixed workload are bit-identical across every MaxLag
+// cell — the pipeline moves publication, not semantics. The
 // per-thread call counts are deliberately not multiples of the group
 // commit, so exit-time flushing of partial groups is exercised in every
 // pipelined cell.
 func TestPipelineResultEquivalence(t *testing.T) {
-	ref, diverged, reason := runMixedTrace(t, pipelineGrid[0].maxLag, pipelineGrid[0].epoch)
+	ref, diverged, reason := runMixedTrace(t, pipelineGrid[0])
 	if diverged {
 		t.Fatalf("reference diverged: %s", reason)
 	}
-	for _, cell := range pipelineGrid[1:] {
-		got, diverged, reason := runMixedTrace(t, cell.maxLag, cell.epoch)
+	for _, maxLag := range pipelineGrid[1:] {
+		got, diverged, reason := runMixedTrace(t, maxLag)
 		if diverged {
-			t.Fatalf("MaxLag=%d epoch=%d diverged: %s", cell.maxLag, cell.epoch, reason)
+			t.Fatalf("MaxLag=%d diverged: %s", maxLag, reason)
 		}
 		if len(got) != len(ref) {
-			t.Fatalf("MaxLag=%d epoch=%d: %d streams, reference %d", cell.maxLag, cell.epoch, len(got), len(ref))
+			t.Fatalf("MaxLag=%d: %d streams, reference %d", maxLag, len(got), len(ref))
 		}
 		for key, refT := range ref {
 			gotT := got[key]
 			if len(gotT) != len(refT) {
-				t.Fatalf("MaxLag=%d epoch=%d %s: %d results, reference %d", cell.maxLag, cell.epoch, key, len(gotT), len(refT))
+				t.Fatalf("MaxLag=%d %s: %d results, reference %d", maxLag, key, len(gotT), len(refT))
 			}
 			for i := range refT {
 				if gotT[i] != refT[i] {
-					t.Fatalf("MaxLag=%d epoch=%d %s: result %d = %d, reference %d — results must be bit-identical across lag windows",
-						cell.maxLag, cell.epoch, key, i, gotT[i], refT[i])
+					t.Fatalf("MaxLag=%d %s: result %d = %d, reference %d — results must be bit-identical across lag windows",
+						maxLag, key, i, gotT[i], refT[i])
 				}
 			}
 		}
@@ -128,14 +126,14 @@ func TestPipelineResultEquivalence(t *testing.T) {
 }
 
 // TestPipelineTamperEquivalence: a compromised master's divergent
-// unmonitored write is caught in every MaxLag × epoch cell, with the
+// unmonitored write is caught in every MaxLag cell, with the
 // identical verdict reason — detection may happen later in host time
 // under a lag window, but never differently.
 func TestPipelineTamperEquivalence(t *testing.T) {
-	run := func(maxLag, epoch int) (bool, string) {
+	run := func(maxLag int) (bool, string) {
 		rep, err := core.RunProgram(core.Config{
 			Mode: core.ModeReMon, Replicas: 2, Policy: policy.SocketRWLevel,
-			MaxLag: maxLag, EpochSize: epoch, Seed: 0x91AC0002,
+			MaxLag: maxLag, Seed: 0x91AC0002,
 			LockstepTimeout: 60 * time.Second,
 		}, func(env *libc.Env) {
 			fd, _ := env.Open("/tmp/pipe-tamper", vkernel.OCreat|vkernel.ORdwr, 0o644)
@@ -157,17 +155,17 @@ func TestPipelineTamperEquivalence(t *testing.T) {
 		}
 		return rep.Verdict.Diverged, rep.Verdict.Reason
 	}
-	refDiverged, refReason := run(pipelineGrid[0].maxLag, pipelineGrid[0].epoch)
+	refDiverged, refReason := run(pipelineGrid[0])
 	if !refDiverged {
 		t.Fatal("reference run missed the tampered write")
 	}
-	for _, cell := range pipelineGrid[1:] {
-		diverged, reason := run(cell.maxLag, cell.epoch)
+	for _, maxLag := range pipelineGrid[1:] {
+		diverged, reason := run(maxLag)
 		if !diverged {
-			t.Fatalf("MaxLag=%d epoch=%d missed the tampered write", cell.maxLag, cell.epoch)
+			t.Fatalf("MaxLag=%d missed the tampered write", maxLag)
 		}
 		if reason != refReason {
-			t.Fatalf("MaxLag=%d epoch=%d verdict %q, reference %q", cell.maxLag, cell.epoch, reason, refReason)
+			t.Fatalf("MaxLag=%d verdict %q, reference %q", maxLag, reason, refReason)
 		}
 	}
 }

@@ -27,9 +27,8 @@ type TelemetrySnapshot struct {
 	// VirtualNs is the live virtual elapsed time (critical path over
 	// thread clocks) — deltas over it per call are the latency signal.
 	VirtualNs uint64
-	// Knobs: the live relaxation/pipeline/epoch positions.
+	// Knobs: the live relaxation and pipeline positions.
 	PolicyVersion uint64
-	EpochSize     int
 	MaxLag        int
 	Replicas      int
 }
@@ -45,7 +44,6 @@ func (m *MVEE) Telemetry() TelemetrySnapshot {
 	}
 	if m.Monitor != nil {
 		ts.Monitor = m.Monitor.Stats()
-		ts.EpochSize = m.Monitor.EpochSize()
 	}
 	if m.Broker != nil {
 		ts.Broker = m.Broker.Stats()
@@ -81,7 +79,6 @@ func (m *MVEE) CollectTelemetry(s *telemetry.Sampler) {
 	}
 	s.Metric("remon_mvee_virtual_ns", float64(ts.VirtualNs))
 	s.Metric("remon_mvee_max_lag", float64(ts.MaxLag))
-	s.Metric("remon_mvee_epoch_size", float64(ts.EpochSize))
 	s.Metric("remon_mvee_replicas", float64(ts.Replicas))
 }
 

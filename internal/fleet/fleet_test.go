@@ -398,10 +398,10 @@ func TestFleetSetShardPolicyLive(t *testing.T) {
 }
 
 // TestServerProgramMakesNoBatchableCall pins why the fleet has no
-// temporal relaxation axis: a master-ahead window or epoch batching
-// only pays for policy.Batchable calls, and the shard server program
-// issues none at any relaxation level. If the program ever grows one,
-// this fails, and a per-shard lag or epoch knob is worth having again.
+// temporal relaxation axis: a master-ahead lag window only pays for
+// policy.Batchable calls, and the shard server program issues none at
+// any relaxation level. If the program ever grows one, this fails, and a
+// per-shard lag knob is worth having again.
 func TestServerProgramMakesNoBatchableCall(t *testing.T) {
 	f, err := New(quickCfg(1))
 	if err != nil {

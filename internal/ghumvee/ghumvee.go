@@ -39,13 +39,6 @@ import (
 // run different watchdogs without racing on a package global.
 const DefaultLockstepTimeout = 10 * time.Second
 
-// DefaultEpochSize is the epoch window benchmarks and servers opt into
-// with SetEpochSize / core.Config.EpochSize. The monitor itself defaults
-// to immediate verification (window of 1) so that divergent batchable
-// calls are rejected before execution, exactly as the pre-epoch engine
-// did.
-const DefaultEpochSize = 8
-
 // Replica is one supervised variant.
 type Replica struct {
 	Index int
@@ -75,11 +68,6 @@ type Stats struct {
 	// Wakeups counts targeted waiter wakes issued by round monitors (the
 	// engine suppresses wakes for waiters still spinning).
 	Wakeups uint64
-	// EpochBatched counts monitored calls whose argument verification was
-	// deferred to an epoch boundary; EpochFlushes counts boundary passes
-	// over non-empty windows.
-	EpochBatched uint64
-	EpochFlushes uint64
 }
 
 // Emit reports the snapshot as (metric, value) pairs under the
@@ -97,8 +85,6 @@ func (s Stats) Emit(emit func(name string, v uint64)) {
 	emit("rb_resets_total", s.RBResets)
 	emit("divergences_total", s.Divergences)
 	emit("wakeups_total", s.Wakeups)
-	emit("epoch_batched_total", s.EpochBatched)
-	emit("epoch_flushes_total", s.EpochFlushes)
 }
 
 // atomicStats is the hot-path counter block; Stats() snapshots it.
@@ -114,8 +100,6 @@ type atomicStats struct {
 	rbResets        atomic.Uint64
 	divergences     atomic.Uint64
 	wakeups         atomic.Uint64
-	epochBatched    atomic.Uint64
-	epochFlushes    atomic.Uint64
 }
 
 // Monitor is the CP monitor instance for one replica set.
@@ -133,12 +117,11 @@ type Monitor struct {
 	fileMap *fdmap.FileMap
 	shadow  *fdmap.EpollShadow
 
-	// Hot-path state: halted flags, watchdog duration, epoch window size
-	// and the abort channel waiters select on.
+	// Hot-path state: halted flags, watchdog duration and the abort
+	// channel waiters select on.
 	diverged  atomic.Bool
 	stopped   atomic.Bool
 	lockstep  atomic.Int64 // rendezvous watchdog, ns
-	epochSize atomic.Int32 // verification window (1 = immediate)
 	abort     chan struct{}
 	abortOnce sync.Once
 
@@ -164,7 +147,6 @@ func New(k *vkernel.Kernel, procs []*vkernel.Process) *Monitor {
 		abort:   make(chan struct{}),
 	}
 	m.lockstep.Store(int64(DefaultLockstepTimeout))
-	m.epochSize.Store(1)
 	for i, p := range procs {
 		r := &Replica{Index: i, Proc: p}
 		p.ReplicaIndex = i
@@ -174,11 +156,6 @@ func New(k *vkernel.Kernel, procs []*vkernel.Process) *Monitor {
 	}
 	k.AddExitHandler(m)
 	return m
-}
-
-// Replicas returns the supervised replica set.
-func (m *Monitor) Replicas() []*Replica {
-	return append([]*Replica(nil), m.replicas...)
 }
 
 // FileMap exposes the monitor-maintained descriptor metadata (§3.6).
@@ -210,10 +187,8 @@ func (m *Monitor) RegisterThread(t *vkernel.Thread, ltid int) {
 	m.ltids.Store(t, m.group(ltid))
 }
 
-// Stats returns a snapshot of the counters. Pending epoch windows are
-// verified first so that deferred divergences are reflected.
+// Stats returns a snapshot of the counters.
 func (m *Monitor) Stats() Stats {
-	m.flushEpochs()
 	return Stats{
 		MonitoredCalls:  m.at.monitoredCalls.Load(),
 		MasterCalls:     m.at.masterCalls.Load(),
@@ -226,24 +201,18 @@ func (m *Monitor) Stats() Stats {
 		RBResets:        m.at.rbResets.Load(),
 		Divergences:     m.at.divergences.Load(),
 		Wakeups:         m.at.wakeups.Load(),
-		EpochBatched:    m.at.epochBatched.Load(),
-		EpochFlushes:    m.at.epochFlushes.Load(),
 	}
 }
 
-// Verdict returns the current verdict, forcing an epoch boundary first so
-// a divergence sitting in an unverified window is not missed.
+// Verdict returns the current verdict.
 func (m *Monitor) Verdict() Verdict {
-	m.flushEpochs()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.verdict
 }
 
-// Diverged reports whether divergence was detected (epoch windows are
-// verified first).
+// Diverged reports whether divergence was detected.
 func (m *Monitor) Diverged() bool {
-	m.flushEpochs()
 	return m.diverged.Load()
 }
 
@@ -260,21 +229,6 @@ func (m *Monitor) SetLockstepTimeout(d time.Duration) {
 func (m *Monitor) LockstepTimeout() time.Duration {
 	return time.Duration(m.lockstep.Load())
 }
-
-// SetEpochSize sets the divergence-checking window: consecutive batchable
-// monitored calls (read-only, non-blocking, non-sensitive — see
-// DESIGN.md §7) accumulate and are verified together at epoch boundaries.
-// n <= 1 selects immediate verification (the default). Blocking and
-// sensitive calls always verify immediately and force a boundary.
-func (m *Monitor) SetEpochSize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	m.epochSize.Store(int32(n))
-}
-
-// EpochSize reports the current verification window.
-func (m *Monitor) EpochSize() int { return int(m.epochSize.Load()) }
 
 // SetVerdictHandler registers a callback fired exactly once, when (and
 // if) the monitor declares divergence. Fleet supervisors hang their
@@ -416,7 +370,7 @@ func (m *Monitor) MonitorCall(t *vkernel.Thread, c *vkernel.Call, exec func(*vke
 	for i := range g.slots {
 		g.collect[i] = &g.slots[i].arr
 	}
-	m.monitorRound(g, g.collect)
+	m.monitorRound(g.collect)
 	g.completeRound(m, r, rep.Index)
 
 	// The monitor goroutine doubles as this replica's thread.
@@ -428,9 +382,10 @@ func (m *Monitor) MonitorCall(t *vkernel.Thread, c *vkernel.Call, exec func(*vke
 	return result
 }
 
-// monitorRound performs one lockstep round: clock sync, comparison (or
-// epoch capture), execution, replication, signal delivery.
-func (m *Monitor) monitorRound(g *ring, arrivals []*arrival) {
+// monitorRound performs one lockstep round: clock sync, comparison,
+// execution, replication, signal delivery. Every call is verified before
+// it runs, so a divergent call never executes.
+func (m *Monitor) monitorRound(arrivals []*arrival) {
 	master := arrivals[0]
 	c := master.c
 	d := sysdesc.Lookup(c.Num)
@@ -452,12 +407,10 @@ func (m *Monitor) monitorRound(g *ring, arrivals []*arrival) {
 
 	m.at.monitoredCalls.Add(1)
 
-	// Syscall-number equivalence is always checked immediately: capturing
-	// a slave's arguments under the master's descriptor would read the
-	// wrong memory.
+	// Syscall-number equivalence comes first: comparing a slave's
+	// arguments under the master's descriptor would read the wrong memory.
 	for _, a := range arrivals[1:] {
 		if a.c.Num != master.c.Num {
-			m.flushGroup(g)
 			m.declareDivergence(c, fmt.Sprintf("replica %d invoked %s, master invoked %s",
 				m.replicaOf(a.t).Index, vkernel.SyscallName(a.c.Num), vkernel.SyscallName(master.c.Num)))
 			failRound(arrivals)
@@ -465,27 +418,10 @@ func (m *Monitor) monitorRound(g *ring, arrivals []*arrival) {
 		}
 	}
 
-	if m.epochSize.Load() > 1 && batchableCall(d) {
-		// Epoch path: capture (with the immediate path's exact virtual
-		// charges) now, verify at the boundary.
-		if !m.epochCapture(g, arrivals, d) {
-			failRound(arrivals)
-			return
-		}
-	} else {
-		// Boundary: a blocking or sensitive call verifies only after the
-		// pending window has been cleared, preserving first-divergence
-		// ordering.
-		m.flushGroup(g)
-		if m.halted() {
-			failRound(arrivals)
-			return
-		}
-		if err := m.compareArgs(arrivals, d); err != nil {
-			m.declareDivergence(c, err.Error())
-			failRound(arrivals)
-			return
-		}
+	if err := m.compareArgs(arrivals, d); err != nil {
+		m.declareDivergence(c, err.Error())
+		failRound(arrivals)
+		return
 	}
 
 	// Policy interventions the CP monitor owns regardless of level.
@@ -845,14 +781,11 @@ func (m *Monitor) gateSignal(p *vkernel.Process, sig int) bool {
 }
 
 // deliverDeferredSignals re-initiates deferred signals at a rendezvous —
-// the point where all replicas rest in equivalent states. Delivery is an
-// epoch boundary for every group: all pending windows are verified first
-// so signals only land on states the monitor has vouched for.
+// the point where all replicas rest in equivalent states.
 func (m *Monitor) deliverDeferredSignals() {
 	if m.pendingN.Load() == 0 {
 		return
 	}
-	m.flushEpochs()
 	m.mu.Lock()
 	if len(m.pending) == 0 {
 		m.mu.Unlock()
@@ -915,9 +848,7 @@ func (m *Monitor) declareDivergence(c *vkernel.Call, reason string) {
 
 // ThreadExited implements vkernel.ExitHandler: an abnormal replica exit —
 // including IP-MON's intentional crash on argument mismatch (§3.3) — is a
-// divergence signal. Pending epoch windows are verified first so that a
-// deferred argument divergence, not the crash it may have provoked, is
-// reported as the root cause.
+// divergence signal.
 func (m *Monitor) ThreadExited(t *vkernel.Thread, code int, crashed bool) {
 	if !crashed {
 		return
@@ -926,7 +857,6 @@ func (m *Monitor) ThreadExited(t *vkernel.Thread, code int, crashed bool) {
 	if rep == nil || m.diverged.Load() {
 		return
 	}
-	m.flushEpochs()
 	m.declareDivergence(t.LastSyscall(), fmt.Sprintf("replica %d crashed (ptrace-stop SIGSEGV)", rep.Index))
 }
 

@@ -118,23 +118,50 @@ func TestLockstepMasterCallReplication(t *testing.T) {
 	}
 }
 
+// TestLockstepDetectsArgDivergence: a divergent call is refused before it
+// executes, batchable or not. lseek is in policy.Batchable's read-only
+// set; the file offset must stay where it was, the verdict must cite the
+// lseek, and a later sensitive call is refused without re-attributing
+// the verdict.
 func TestLockstepDetectsArgDivergence(t *testing.T) {
 	e := newMonEnv(t, 2)
+	e.k.FS.WriteFile("/tmp/seek", []byte("0123456789"), 0o644)
+	open := []*vkernel.Call{
+		{Num: vkernel.SysOpen, Args: [6]uint64{uint64(e.put(0, []byte("/tmp/seek\x00"))), vkernel.ORdwr, 0}},
+		{Num: vkernel.SysOpen, Args: [6]uint64{uint64(e.put(1, []byte("/tmp/seek\x00"))), vkernel.ORdwr, 0}},
+	}
+	fd := e.lockstep(t, open)[0].Val
 	calls := []*vkernel.Call{
-		{Num: vkernel.SysLseek, Args: [6]uint64{3, 100, 0}},
-		{Num: vkernel.SysLseek, Args: [6]uint64{3, 999, 0}}, // divergent offset
+		{Num: vkernel.SysLseek, Args: [6]uint64{fd, 5, vkernel.SeekSet}},
+		{Num: vkernel.SysLseek, Args: [6]uint64{fd, 9, vkernel.SeekSet}}, // divergent offset
 	}
 	res := e.lockstep(t, calls)
 	if !e.m.Diverged() {
 		t.Fatal("scalar divergence not detected")
 	}
 	for _, r := range res {
-		if r.Ok() {
-			t.Fatal("divergent call completed")
+		if r.Errno != vkernel.EPERM {
+			t.Fatalf("divergent call not refused: %+v", res)
 		}
 	}
-	if v := e.m.Verdict(); v.Syscall != "lseek" {
-		t.Fatalf("verdict = %+v", v)
+	if pos := e.threads[0].RawSyscall(vkernel.SysLseek, fd, 0, vkernel.SeekCur); !pos.Ok() || pos.Val != 0 {
+		t.Fatalf("master file offset = %+v, want 0 (the divergent lseek executed)", pos)
+	}
+	want := Verdict{Diverged: true, Reason: "lseek: arg1 9 != master 5", Syscall: "lseek"}
+	if v := e.m.Verdict(); v != want {
+		t.Fatalf("verdict = %+v, want %+v", v, want)
+	}
+	wres := e.lockstep(t, []*vkernel.Call{
+		{Num: vkernel.SysWrite, Args: [6]uint64{fd, uint64(e.put(0, []byte("x"))), 1}},
+		{Num: vkernel.SysWrite, Args: [6]uint64{fd, uint64(e.put(1, []byte("x"))), 1}},
+	})
+	for _, r := range wres {
+		if r.Errno != vkernel.EPERM {
+			t.Fatalf("sensitive call after divergence = %+v, want EPERM", wres)
+		}
+	}
+	if v := e.m.Verdict(); v != want {
+		t.Fatalf("verdict after later call = %+v, want %+v", v, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package ghumvee
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,15 +84,6 @@ type ring struct {
 	timer      *time.Timer
 	armedRound atomic.Uint64
 	armedCall  atomic.Pointer[vkernel.Call]
-
-	// Epoch window (epoch.go). winMu guards only window mutation and
-	// flushing — never the arrival fast path. capArena backs the window
-	// entries' per-replica captures; both recycle their storage at every
-	// flush, so steady-state batching of register-only calls allocates
-	// nothing.
-	winMu    sync.Mutex
-	window   []epochEntry
-	capArena []capturedArgs
 }
 
 func newRing(m *Monitor, n int) *ring {
@@ -141,7 +131,6 @@ func (g *ring) watchdogFire(m *Monitor) {
 		return
 	}
 	c := g.armedCall.Load()
-	m.flushEpochs() // attribute an earlier deferred divergence first
 	m.declareDivergence(c, "lockstep rendezvous timeout (replica desynchronised)")
 }
 

@@ -8,47 +8,43 @@ import (
 	"remon/internal/vkernel"
 )
 
-// TestRendezvousStress is the satellite's -race stress: 8 replicas x 16
-// logical threads x mixed blocking-class/non-blocking calls, run under
-// both verification engines (immediate reference and epoch-batched), with
-// a golden comparison of verdicts, per-thread call ordering and the
-// monitor's byte accounting. goldenRun (epoch_test.go) drives the
-// workload; this test scales it up to the contended shape.
+// TestRendezvousStress is the -race stress: 8 replicas x 16 logical
+// threads x mixed blocking-class/non-blocking calls, run twice with a
+// golden comparison of verdicts, per-thread results, final virtual
+// clocks and the monitor's counters (Wakeups aside). Virtual time is the paper's
+// metric, so host scheduling must not leak into any of them.
 func TestRendezvousStress(t *testing.T) {
 	replicas, groups, calls := 8, 16, 10
 	if testing.Short() {
 		replicas, groups, calls = 4, 8, 6
 	}
-	refTraces, refClocks, refStats, refVerdict := goldenRun(t, replicas, groups, calls, 1)
-	batTraces, batClocks, batStats, batVerdict := goldenRun(t, replicas, groups, calls, DefaultEpochSize)
+	refTraces, refClocks, refStats, refVerdict := goldenRun(t, replicas, groups, calls)
+	runTraces, runClocks, runStats, runVerdict := goldenRun(t, replicas, groups, calls)
 
 	if refVerdict.Diverged {
-		t.Fatalf("reference engine diverged: %+v", refVerdict)
+		t.Fatalf("healthy run diverged: %+v", refVerdict)
 	}
-	if batVerdict != refVerdict {
-		t.Fatalf("verdicts differ: ref=%+v batched=%+v", refVerdict, batVerdict)
+	if runVerdict != refVerdict {
+		t.Fatalf("verdicts differ: %+v vs %+v", refVerdict, runVerdict)
 	}
-	// Per-thread call ordering and results must match the reference run
-	// exactly.
 	for i := range refTraces {
-		if len(refTraces[i]) == 0 {
-			t.Fatalf("thread %d issued no calls", i)
+		if len(refTraces[i]) == 0 || len(refTraces[i]) != len(runTraces[i]) {
+			t.Fatalf("thread %d trace lengths: %d vs %d", i, len(refTraces[i]), len(runTraces[i]))
 		}
 		for j := range refTraces[i] {
-			if refTraces[i][j] != batTraces[i][j] {
-				t.Fatalf("thread %d call %d: ref=%d batched=%d", i, j, refTraces[i][j], batTraces[i][j])
+			if refTraces[i][j] != runTraces[i][j] {
+				t.Fatalf("thread %d call %d: %d vs %d", i, j, refTraces[i][j], runTraces[i][j])
 			}
 		}
 	}
 	for i := range refClocks {
-		if refClocks[i] != batClocks[i] {
-			t.Fatalf("thread %d clock: ref=%d batched=%d", i, refClocks[i], batClocks[i])
+		if refClocks[i] != runClocks[i] {
+			t.Fatalf("thread %d clock: %d vs %d", i, refClocks[i], runClocks[i])
 		}
 	}
-	if refStats.BytesCompared != batStats.BytesCompared ||
-		refStats.BytesReplicated != batStats.BytesReplicated ||
-		refStats.MonitoredCalls != batStats.MonitoredCalls {
-		t.Fatalf("stats differ: ref=%+v batched=%+v", refStats, batStats)
+	refStats.Wakeups, runStats.Wakeups = 0, 0 // host scheduling, not virtual time
+	if refStats != runStats {
+		t.Fatalf("stats differ: %+v vs %+v", refStats, runStats)
 	}
 }
 
@@ -77,37 +73,27 @@ func TestTargetedWakeOnSlowArrival(t *testing.T) {
 }
 
 // TestStressDivergenceUnderLoad injects a single divergent batchable call
-// after healthy traffic and checks both engines converge on a divergence
-// verdict naming that call, with identical reason strings.
+// after healthy traffic on a 4-replica set: the verdict names that call
+// with the comparator's exact reason.
 func TestStressDivergenceUnderLoad(t *testing.T) {
-	var verdicts []Verdict
-	for _, epoch := range []int{1, DefaultEpochSize} {
-		e := newMonEnv(t, 4)
-		e.m.SetEpochSize(epoch)
-		healthy := make([]*vkernel.Call, 4)
-		for r := range healthy {
-			healthy[r] = &vkernel.Call{Num: vkernel.SysGetpid}
-		}
-		for i := 0; i < 5; i++ {
-			if res := e.lockstep(t, healthy); !res[0].Ok() {
-				t.Fatalf("epoch=%d healthy round %d failed: %+v", epoch, i, res[0])
-			}
-		}
-		divergent := make([]*vkernel.Call, 4)
-		for r := range divergent {
-			divergent[r] = &vkernel.Call{Num: vkernel.SysLseek, Args: [6]uint64{3, uint64(10 + r%2), 0}}
-		}
-		e.lockstep(t, divergent)
-		if !e.m.Diverged() {
-			t.Fatalf("epoch=%d: divergence missed", epoch)
-		}
-		verdicts = append(verdicts, e.m.Verdict())
+	e := newMonEnv(t, 4)
+	healthy := make([]*vkernel.Call, 4)
+	for r := range healthy {
+		healthy[r] = &vkernel.Call{Num: vkernel.SysGetpid}
 	}
-	if verdicts[0] != verdicts[1] {
-		t.Fatalf("verdicts differ across engines: %+v vs %+v", verdicts[0], verdicts[1])
+	for i := 0; i < 5; i++ {
+		if res := e.lockstep(t, healthy); !res[0].Ok() {
+			t.Fatalf("healthy round %d failed: %+v", i, res[0])
+		}
 	}
-	if verdicts[0].Syscall != "lseek" {
-		t.Fatalf("verdict = %+v", verdicts[0])
+	divergent := make([]*vkernel.Call, 4)
+	for r := range divergent {
+		divergent[r] = &vkernel.Call{Num: vkernel.SysLseek, Args: [6]uint64{3, uint64(10 + r%2), 0}}
+	}
+	e.lockstep(t, divergent)
+	want := Verdict{Diverged: true, Reason: "lseek: arg1 11 != master 10", Syscall: "lseek"}
+	if v := e.m.Verdict(); v != want {
+		t.Fatalf("verdict = %+v, want %+v", v, want)
 	}
 }
 
@@ -148,4 +134,109 @@ func TestWatchdogSparesBlockingMasterCall(t *testing.T) {
 	if !results[0].Ok() || results[0].Val != results[1].Val {
 		t.Fatalf("results: %+v", results)
 	}
+}
+
+// goldenRun drives one deterministic mixed workload (per-group files,
+// batchable reads and metadata calls, sensitive writes, an all-replicas
+// call) on a fresh monitor and returns per-thread result traces, final
+// clocks and stats.
+func goldenRun(t *testing.T, replicas, groups, callsPerThread int) ([][]int64, []int64, Stats, Verdict) {
+	t.Helper()
+	e := newMonEnv(t, replicas)
+
+	// One extra registered thread set per group beyond ltid 0.
+	type lane struct {
+		threads []*vkernel.Thread
+		bufs    []uint64 // per-replica scratch, pre-allocated (alloc is not goroutine-safe)
+	}
+	lanes := make([]*lane, groups)
+	paths := make([][]uint64, groups)
+	for g := 0; g < groups; g++ {
+		ln := &lane{}
+		paths[g] = make([]uint64, replicas)
+		for r := 0; r < replicas; r++ {
+			var th *vkernel.Thread
+			if g == 0 {
+				th = e.threads[r]
+			} else {
+				th = e.threads[r].Proc.NewThread(nil)
+				e.m.RegisterThread(th, g)
+			}
+			ln.threads = append(ln.threads, th)
+			ln.bufs = append(ln.bufs, uint64(e.alloc(r, 256)))
+		}
+		lanes[g] = ln
+	}
+	// Deterministic setup phase: create one file per group and record the
+	// path bytes in every replica, sequentially so fd numbers and results
+	// do not depend on host scheduling.
+	fds := make([]uint64, groups)
+	for g := 0; g < groups; g++ {
+		name := "/tmp/golden-" + string(rune('a'+g%26)) + string(rune('0'+g/26))
+		e.k.FS.WriteFile(name, []byte("golden-seed-content"), 0o644)
+		for r := 0; r < replicas; r++ {
+			paths[g][r] = uint64(e.put(r, append([]byte(name), 0)))
+		}
+		calls := make([]*vkernel.Call, replicas)
+		results := make([]vkernel.Result, replicas)
+		var wg sync.WaitGroup
+		for r := 0; r < replicas; r++ {
+			calls[r] = &vkernel.Call{Num: vkernel.SysOpen, Args: [6]uint64{paths[g][r], vkernel.ORdwr, 0}}
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				th := lanes[g].threads[r]
+				results[r] = e.m.MonitorCall(th, calls[r], func(c *vkernel.Call) vkernel.Result {
+					return th.RawSyscallC(c)
+				})
+			}(r)
+		}
+		wg.Wait()
+		if !results[0].Ok() {
+			t.Fatalf("group %d open failed: %+v", g, results[0])
+		}
+		fds[g] = results[0].Val
+	}
+
+	// Concurrent mixed phase: every group's threads run the same call
+	// script against group-private state.
+	traces := make([][]int64, groups*replicas)
+	var wg sync.WaitGroup
+	for g := 0; g < groups; g++ {
+		for r := 0; r < replicas; r++ {
+			wg.Add(1)
+			go func(g, r int) {
+				defer wg.Done()
+				th := lanes[g].threads[r]
+				buf := lanes[g].bufs[r]
+				exec := func(c *vkernel.Call) vkernel.Result { return th.RawSyscallC(c) }
+				var trace []int64
+				do := func(c *vkernel.Call) {
+					trace = append(trace, e.m.MonitorCall(th, c, exec).Ret())
+				}
+				for i := 0; i < callsPerThread; i++ {
+					do(&vkernel.Call{Num: vkernel.SysGetpid})
+					do(&vkernel.Call{Num: vkernel.SysLseek, Args: [6]uint64{fds[g], uint64(i % 8), 0}})
+					do(&vkernel.Call{Num: vkernel.SysAccess, Args: [6]uint64{paths[g][r], 0}})
+					do(&vkernel.Call{Num: vkernel.SysFstat, Args: [6]uint64{fds[g], buf}})
+					if i%3 == 0 { // sensitive: replication
+						do(&vkernel.Call{Num: vkernel.SysPread64, Args: [6]uint64{fds[g], buf, 8, 0}})
+					}
+					if i%5 == 0 { // all-replicas call (runOwn path)
+						do(&vkernel.Call{Num: vkernel.SysRtSigprocmask, Args: [6]uint64{0, 0}})
+					}
+				}
+				traces[g*replicas+r] = trace
+			}(g, r)
+		}
+	}
+	wg.Wait()
+
+	clocks := make([]int64, 0, groups*replicas)
+	for g := 0; g < groups; g++ {
+		for r := 0; r < replicas; r++ {
+			clocks = append(clocks, int64(lanes[g].threads[r].Clock.Now()))
+		}
+	}
+	return traces, clocks, e.m.Stats(), e.m.Verdict()
 }

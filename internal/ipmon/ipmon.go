@@ -189,17 +189,6 @@ func (ip *IPMon) Stats() Stats {
 	}
 }
 
-// SupportedCalls reports how many syscalls have fast-path handlers.
-func (ip *IPMon) SupportedCalls() int {
-	n := 0
-	for _, h := range ip.handlers {
-		if h != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // UnmonitoredMask is the registration mask for IK-B (§3.5). The mask must
 // cover every call any policy could ever exempt: the relaxation engine
 // hot-reloads rules after registration (re-registering mid-run is not a
@@ -493,10 +482,9 @@ func (ip *IPMon) slavePath(ctx *ikb.Context, h *Handler, st *ltState) vkernel.Re
 }
 
 // batchableFast reports whether a fast-path call's publication may be
-// deferred to a group commit. It reuses the epoch-batching class
-// (policy.Batchable: the read-only BASE + NONSOCKET_RO sets) plus the
-// same descriptor-level guards GHUMVEE's epoch engine applies: no
-// special handling, no descriptor lifecycle effects. Deferral never
+// deferred to a group commit: the policy.Batchable class (the read-only
+// BASE + NONSOCKET_RO sets) guarded at the descriptor level — no special
+// handling, no descriptor lifecycle effects. Deferral never
 // weakens detection — the master executes before any slave check in
 // both modes — it only bounds how late the slave's comparison can run.
 func batchableFast(d *sysdesc.Desc, nr int) bool {

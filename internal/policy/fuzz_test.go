@@ -1,13 +1,13 @@
 // The divergence-fuzz harness: random syscall traces interpreted under
-// every spatial relaxation level × every divergence-checking epoch
-// setting, asserting the verdict-equivalence invariant (DESIGN.md §8):
-// the relaxation spectrum trades *where* monitoring happens (in-process
-// RB comparison vs cross-process lockstep) and *when* it is verified
-// (immediate vs epoch-batched), never *what* the program observes or
-// whether an attack is caught.
+// every spatial relaxation level and a sweep of master-ahead lag windows,
+// asserting the verdict-equivalence invariant (DESIGN.md §8): the
+// relaxation spectrum trades *where* monitoring happens (in-process RB
+// comparison vs cross-process lockstep) and *when* a slave checks
+// (lockstep vs lag window), never *what* the program observes or whether
+// an attack is caught.
 //
 //   - Healthy traces: per-replica syscall results are bit-identical
-//     across all 5 levels and across EpochSize settings.
+//     across all 5 levels and across MaxLag settings.
 //   - Tampered traces (a compromised-master write): every configuration
 //     must reach a divergence verdict, and the pre-divergence result
 //     prefix must still be bit-identical.
@@ -29,7 +29,7 @@ import (
 )
 
 // maxFuzzOps bounds a trace (each op is a handful of syscalls ×
-// 10 configurations).
+// 9 configurations).
 const maxFuzzOps = 48
 
 const fuzzOpKinds = 10
@@ -47,13 +47,12 @@ type traceResult struct {
 	perReplica [2][]int64
 }
 
-// runTrace interprets script under one (level, epoch, maxLag)
-// configuration.
-func runTrace(script []byte, level policy.Level, epoch, maxLag int) (*traceResult, error) {
+// runTrace interprets script under one (level, maxLag) configuration.
+func runTrace(script []byte, level policy.Level, maxLag int) (*traceResult, error) {
 	res := &traceResult{}
 	rep, err := core.RunProgram(core.Config{
 		Mode: core.ModeReMon, Replicas: 2, Policy: level,
-		EpochSize: epoch, MaxLag: maxLag,
+		MaxLag: maxLag,
 		// Generous watchdog: healthy and tampered traces both terminate
 		// through comparisons, never the watchdog — it exists only to
 		// bound a genuinely wedged run, and a tight value flakes under
@@ -153,35 +152,29 @@ func divergePoint(script []byte) int {
 	return -1
 }
 
-// checkEquivalence runs script under every level × epoch configuration
-// (plus, for the boundary levels, the master-ahead MaxLag {0, 8, 64}
-// sweep — PR 5's pipeline axis) and asserts the invariant against the
-// BASE/immediate/lockstep reference.
+// checkEquivalence runs script under every level at MaxLag 0 (plus, for
+// the boundary levels, the master-ahead MaxLag {8, 64} sweep) and asserts
+// the invariant against the BASE/lockstep reference.
 func checkEquivalence(t *testing.T, script []byte) {
 	t.Helper()
 	type cfg struct {
 		level  policy.Level
-		epoch  int
 		maxLag int
 	}
 	var cfgs []cfg
 	for _, lv := range policy.Levels()[1:] {
-		for _, ep := range []int{1, 16} {
-			cfgs = append(cfgs, cfg{lv, ep, 0})
-		}
+		cfgs = append(cfgs, cfg{lv, 0})
 	}
 	// Pipeline grid: the lowest and highest relaxation levels sweep the
-	// lag window across both epoch settings.
+	// lag window.
 	for _, lv := range []policy.Level{policy.BaseLevel, policy.SocketRWLevel} {
-		for _, ep := range []int{1, 16} {
-			for _, lag := range []int{8, 64} {
-				cfgs = append(cfgs, cfg{lv, ep, lag})
-			}
+		for _, lag := range []int{8, 64} {
+			cfgs = append(cfgs, cfg{lv, lag})
 		}
 	}
 	tampered := divergePoint(script) >= 0
 
-	ref, err := runTrace(script, cfgs[0].level, cfgs[0].epoch, cfgs[0].maxLag)
+	ref, err := runTrace(script, cfgs[0].level, cfgs[0].maxLag)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -189,13 +182,13 @@ func checkEquivalence(t *testing.T, script []byte) {
 		t.Fatalf("reference diverged=%v, tampered=%v", ref.diverged, tampered)
 	}
 	for _, c := range cfgs[1:] {
-		got, err := runTrace(script, c.level, c.epoch, c.maxLag)
+		got, err := runTrace(script, c.level, c.maxLag)
 		if err != nil {
-			t.Fatalf("%v/epoch=%d/lag=%d: %v", c.level, c.epoch, c.maxLag, err)
+			t.Fatalf("%v/lag=%d: %v", c.level, c.maxLag, err)
 		}
 		if got.diverged != ref.diverged {
-			t.Fatalf("%v/epoch=%d/lag=%d: diverged=%v, reference=%v — verdict must not depend on the relaxation level or the lag window",
-				c.level, c.epoch, c.maxLag, got.diverged, ref.diverged)
+			t.Fatalf("%v/lag=%d: diverged=%v, reference=%v — verdict must not depend on the relaxation level or the lag window",
+				c.level, c.maxLag, got.diverged, ref.diverged)
 		}
 		for r := 0; r < 2; r++ {
 			refT, gotT := ref.perReplica[r], got.perReplica[r]
@@ -207,19 +200,19 @@ func checkEquivalence(t *testing.T, script []byte) {
 				// least 2 values — compare the guaranteed-complete prefix.
 				n := 4 + 2*divergePoint(script)
 				if len(refT) < n || len(gotT) < n {
-					t.Fatalf("%v/epoch=%d/lag=%d replica %d: trace truncated before the tamper point (%d/%d < %d)",
-						c.level, c.epoch, c.maxLag, r, len(refT), len(gotT), n)
+					t.Fatalf("%v/lag=%d replica %d: trace truncated before the tamper point (%d/%d < %d)",
+						c.level, c.maxLag, r, len(refT), len(gotT), n)
 				}
 				refT, gotT = refT[:n], gotT[:n]
 			}
 			if len(refT) != len(gotT) {
-				t.Fatalf("%v/epoch=%d/lag=%d replica %d: trace length %d, reference %d",
-					c.level, c.epoch, c.maxLag, r, len(gotT), len(refT))
+				t.Fatalf("%v/lag=%d replica %d: trace length %d, reference %d",
+					c.level, c.maxLag, r, len(gotT), len(refT))
 			}
 			for i := range refT {
 				if refT[i] != gotT[i] {
-					t.Fatalf("%v/epoch=%d/lag=%d replica %d: result %d = %d, reference %d — results must be bit-identical across levels",
-						c.level, c.epoch, c.maxLag, r, i, gotT[i], refT[i])
+					t.Fatalf("%v/lag=%d replica %d: result %d = %d, reference %d — results must be bit-identical across levels",
+						c.level, c.maxLag, r, i, gotT[i], refT[i])
 				}
 			}
 		}

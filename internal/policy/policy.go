@@ -152,12 +152,11 @@ var conditional = map[Level][]int{
 	},
 }
 
-// batchable is the call set whose GHUMVEE-side verification may be
-// deferred to an epoch boundary: the read-only, side-effect-light calls
-// Table 1 grants unconditionally at BASE_LEVEL and NONSOCKET_RO_LEVEL.
-// Everything above those levels (writes, socket traffic) — and every
-// call outside Table 1 — is treated as sensitive and verified
-// immediately.
+// batchable is the call set whose RB publication IP-MON may defer to a
+// group commit under a lag window: the read-only, side-effect-light
+// calls Table 1 grants unconditionally at BASE_LEVEL and
+// NONSOCKET_RO_LEVEL. Everything above those levels (writes, socket
+// traffic) — and every call outside Table 1 — is published per call.
 var batchable = func() vkernel.SyscallMask {
 	var m vkernel.SyscallMask
 	for _, l := range []Level{BaseLevel, NonsocketROLevel} {
@@ -168,8 +167,9 @@ var batchable = func() vkernel.SyscallMask {
 	return m
 }()
 
-// Batchable reports whether nr belongs to the epoch-batchable class (the
-// CP monitor still applies its own descriptor-level guards on top).
+// Batchable reports whether nr belongs to the batchable class. Its one
+// user is IP-MON's lag-window group commit, which applies its own
+// descriptor-level guards on top.
 func Batchable(nr int) bool { return batchable.Has(nr) }
 
 // Spatial is a spatial exemption policy at a fixed level.

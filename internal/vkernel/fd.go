@@ -227,19 +227,6 @@ func (ft *FDTable) Close(fd int) Errno {
 	return OK
 }
 
-// Walk visits every open descriptor in ascending order.
-func (ft *FDTable) Walk(fn func(fd int, f *OpenFile)) {
-	ft.mu.Lock()
-	snapshot := make([]*OpenFile, len(ft.files))
-	copy(snapshot, ft.files)
-	ft.mu.Unlock()
-	for fd, f := range snapshot {
-		if f != nil {
-			fn(fd, f)
-		}
-	}
-}
-
 // release drops one reference, tearing the object down at zero.
 func (f *OpenFile) release() {
 	f.mu.Lock()

@@ -275,8 +275,7 @@ type Thread struct {
 	// inIPMon twice, and the RB wait loops poll exited — taking t.mu for
 	// each was several uncontended-but-real lock pairs per fast-path
 	// call.
-	exited  atomic.Bool
-	crashed atomic.Bool
+	exited atomic.Bool
 
 	// inIPMon marks that the thread is currently executing inside the
 	// IP-MON system call entry point; IK-B's verifier consults it (calls
@@ -341,22 +340,6 @@ func (p *Process) NewThread(parent *Thread) *Thread {
 	return t
 }
 
-// MainThread returns the lowest-tid live thread, creating one if none.
-func (p *Process) MainThread() *Thread {
-	p.mu.Lock()
-	var lowest *Thread
-	for _, t := range p.threads {
-		if lowest == nil || t.TID < lowest.TID {
-			lowest = t
-		}
-	}
-	p.mu.Unlock()
-	if lowest == nil {
-		return p.NewThread(nil)
-	}
-	return lowest
-}
-
 // Threads snapshots the live threads.
 func (p *Process) Threads() []*Thread {
 	p.mu.Lock()
@@ -380,9 +363,6 @@ func (t *Thread) LastSyscall() *Call { return t.lastSyscall.Load() }
 
 // Exited reports whether the thread has terminated.
 func (t *Thread) Exited() bool { return t.exited.Load() }
-
-// Crashed reports whether the thread terminated abnormally.
-func (t *Thread) Crashed() bool { return t.crashed.Load() }
 
 // Syscall is the user-space syscall instruction: it charges the trap cost,
 // runs the interposition chain, delivers pending signals at the boundary,
@@ -603,7 +583,6 @@ func (t *Thread) exit(code int, crashed bool) {
 		return
 	}
 	t.exitCode = code
-	t.crashed.Store(crashed)
 	t.exited.Store(true)
 	t.mu.Unlock()
 

@@ -151,16 +151,6 @@ func (p *Poller) AddListener(l *Listener, key uint64) error {
 	return nil
 }
 
-// RemoveListener unregisters l.
-func (p *Poller) RemoveListener(l *Listener) {
-	l.mu.Lock()
-	if l.watch != nil && l.watch.p == p {
-		l.watch.removed.Store(true)
-		l.watch = nil
-	}
-	l.mu.Unlock()
-}
-
 // Wait fills events with ready endpoints and returns the count. With
 // block=false it returns 0 immediately when nothing is ready; with
 // block=true it parks until an event arrives or the poller closes.

@@ -10,7 +10,7 @@ import (
 func traceCfg(level policy.Level) core.Config {
 	return core.Config{
 		Mode: core.ModeReMon, Replicas: 2, Policy: level,
-		Partitions: 8, EpochSize: 1, Seed: 7,
+		Partitions: 8, Seed: 7,
 	}
 }
 
