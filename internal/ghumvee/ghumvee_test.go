@@ -120,9 +120,8 @@ func TestLockstepMasterCallReplication(t *testing.T) {
 
 // TestLockstepDetectsArgDivergence: a divergent call is refused before it
 // executes, batchable or not. lseek is in policy.Batchable's read-only
-// set; the file offset must stay where it was, the verdict must cite the
-// lseek, and a later sensitive call is refused without re-attributing
-// the verdict.
+// set; the file offset must stay where it was and the verdict must cite
+// the lseek.
 func TestLockstepDetectsArgDivergence(t *testing.T) {
 	e := newMonEnv(t, 2)
 	e.k.FS.WriteFile("/tmp/seek", []byte("0123456789"), 0o644)
@@ -151,9 +150,45 @@ func TestLockstepDetectsArgDivergence(t *testing.T) {
 	if v := e.m.Verdict(); v != want {
 		t.Fatalf("verdict = %+v, want %+v", v, want)
 	}
+}
+
+// The three TestEpoch* tests keep the names of the deleted epoch-batched
+// engine's tests and pin the one verification path that replaced it.
+
+// TestEpochBatchedDivergenceAtBoundary: a divergent batchable call is
+// refused before it runs (EPERM, not the raw kernel's EBADF for the
+// unopened fd 3), and the verdict is there at once with the
+// comparator's exact reason; no boundary has to flush it out.
+func TestEpochBatchedDivergenceAtBoundary(t *testing.T) {
+	e := newMonEnv(t, 2)
+	res := e.lockstep(t, []*vkernel.Call{
+		{Num: vkernel.SysLseek, Args: [6]uint64{3, 100, 0}},
+		{Num: vkernel.SysLseek, Args: [6]uint64{3, 999, 0}}, // divergent offset
+	})
+	for _, r := range res {
+		if r.Errno != vkernel.EPERM {
+			t.Fatalf("divergent batchable call not refused: %+v", res)
+		}
+	}
+	want := Verdict{Diverged: true, Reason: "lseek: arg1 999 != master 100", Syscall: "lseek"}
+	if v := e.m.Verdict(); v != want {
+		t.Fatalf("verdict = %+v, want %+v", v, want)
+	}
+}
+
+// TestEpochFlushOnSensitiveCall: after a divergent lseek, a sensitive
+// write is refused and never executes, and the verdict keeps citing the
+// earlier lseek.
+func TestEpochFlushOnSensitiveCall(t *testing.T) {
+	e := newMonEnv(t, 2)
+	e.lockstep(t, []*vkernel.Call{
+		{Num: vkernel.SysLseek, Args: [6]uint64{3, 1, 0}},
+		{Num: vkernel.SysLseek, Args: [6]uint64{3, 2, 0}}, // divergent offset
+	})
+	want := Verdict{Diverged: true, Reason: "lseek: arg1 2 != master 1", Syscall: "lseek"}
 	wres := e.lockstep(t, []*vkernel.Call{
-		{Num: vkernel.SysWrite, Args: [6]uint64{fd, uint64(e.put(0, []byte("x"))), 1}},
-		{Num: vkernel.SysWrite, Args: [6]uint64{fd, uint64(e.put(1, []byte("x"))), 1}},
+		{Num: vkernel.SysWrite, Args: [6]uint64{1, uint64(e.put(0, []byte("x"))), 1}},
+		{Num: vkernel.SysWrite, Args: [6]uint64{1, uint64(e.put(1, []byte("x"))), 1}},
 	})
 	for _, r := range wres {
 		if r.Errno != vkernel.EPERM {
@@ -162,6 +197,30 @@ func TestLockstepDetectsArgDivergence(t *testing.T) {
 	}
 	if v := e.m.Verdict(); v != want {
 		t.Fatalf("verdict after later call = %+v, want %+v", v, want)
+	}
+}
+
+// TestEpochWindowFullFlush: a divergent call that follows healthy
+// rounds is verified before it executes, exactly like the first call,
+// and counted as one divergence among the monitored rounds.
+func TestEpochWindowFullFlush(t *testing.T) {
+	e := newMonEnv(t, 2)
+	for i := 0; i < 2; i++ {
+		if res := e.lockstep(t, []*vkernel.Call{{Num: vkernel.SysGetpid}, {Num: vkernel.SysGetpid}}); !res[0].Ok() {
+			t.Fatalf("healthy round %d failed: %+v", i, res[0])
+		}
+	}
+	res := e.lockstep(t, []*vkernel.Call{
+		{Num: vkernel.SysLseek, Args: [6]uint64{3, 7, 0}},
+		{Num: vkernel.SysLseek, Args: [6]uint64{3, 8, 0}},
+	})
+	for _, r := range res {
+		if r.Errno != vkernel.EPERM {
+			t.Fatalf("divergent call after healthy rounds executed: %+v", res)
+		}
+	}
+	if st := e.m.Stats(); st.MonitoredCalls != 3 || st.Divergences != 1 {
+		t.Fatalf("stats = %+v, want 3 monitored calls and 1 divergence", st)
 	}
 }
 
