@@ -21,6 +21,7 @@ import (
 
 	"remon/internal/chaos"
 	"remon/internal/fleet"
+	"remon/internal/loadgen"
 )
 
 func newFleet() *fleet.Fleet {
@@ -48,11 +49,13 @@ func schedule() chaos.SurgeLoad {
 			{Duration: 150 * time.Millisecond, ConnsPerSec: 100}, // the surge
 			{Duration: 200 * time.Millisecond, ConnsPerSec: 10},
 		},
-		RequestsPerConn: 40,
-		Window:          4,
-		Gap:             35 * time.Millisecond,
-		SampleEvery:     5 * time.Millisecond,
-		Settle:          3 * time.Second,
+		Shape: loadgen.Shape{
+			RequestsPerConn: 40,
+			Window:          4,
+			Gap:             35 * time.Millisecond,
+		},
+		SampleEvery: 5 * time.Millisecond,
+		Settle:      3 * time.Second,
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 	"time"
 
 	"remon/internal/fleet"
-	"remon/internal/model"
+	"remon/internal/loadgen"
 	"remon/internal/policy"
 	"remon/internal/telemetry"
 )
@@ -64,12 +64,19 @@ func main() {
 		}
 		return true
 	}
+	// Closed-loop clients: conns connections of reqs round trips each.
+	reqSize, respSize := f.RequestShape()
+	drive := func(conns, reqs int) {
+		loadgen.Burst(f.FrontNetwork(), f.FrontAddr(), loadgen.Shape{
+			RequestsPerConn: reqs, Window: 1, RequestSize: reqSize, ResponseSize: respSize,
+		}, conns)
+	}
 	deadline := time.Now().Add(30 * time.Second)
 	for !relaxed() {
 		if time.Now().After(deadline) {
 			log.Fatal("controller never relaxed the fleet")
 		}
-		f.DriveClients(fleet.DriveConfig{Conns: 8, RequestsPerConn: 8, ThinkTime: model.Microsecond})
+		drive(8, 8)
 	}
 
 	fmt.Println("-- controller relaxed every shard; decision log (shard 0):")
@@ -105,7 +112,7 @@ func main() {
 	if err := f.InjectDivergence(2); err != nil {
 		log.Fatal(err)
 	}
-	if !f.WaitRecoveriesDriving(1, 30*time.Second, fleet.DriveConfig{}) {
+	if !f.WaitRecoveriesDriving(1, 30*time.Second, func() { drive(8, 2) }) {
 		log.Fatal("shard never recovered")
 	}
 	// Let the controller observe the respawned generation.

@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"remon/internal/fleet"
-	"remon/internal/model"
+	"remon/internal/loadgen"
 )
 
 func main() {
@@ -37,34 +37,37 @@ func main() {
 
 	fmt.Println("== fleet up: 4 ReMon shards behind", f.FrontAddr(), "(live handoff on) ==")
 
-	loadDone := make(chan []fleet.ConnOutcome, 1)
-	go func() {
-		loadDone <- f.DriveClients(fleet.DriveConfig{
-			Conns: 24, RequestsPerConn: 40, ThinkTime: 5 * model.Microsecond,
-		})
-	}()
+	// Closed-loop clients: conns connections of reqs round trips each.
+	reqSize, respSize := f.RequestShape()
+	drive := func(conns, reqs int) []loadgen.ConnReport {
+		return loadgen.Burst(f.FrontNetwork(), f.FrontAddr(), loadgen.Shape{
+			RequestsPerConn: reqs, Window: 1, RequestSize: reqSize, ResponseSize: respSize,
+		}, conns)
+	}
+	loadDone := make(chan []loadgen.ConnReport, 1)
+	go func() { loadDone <- drive(24, 40) }()
 
 	time.Sleep(2 * time.Millisecond)
 	fmt.Println("-- compromising shard 0's master replica (tampered unmonitored response)")
 	if err := f.InjectDivergence(0); err != nil {
 		log.Fatal(err)
 	}
-	if !f.WaitRecoveriesDriving(1, 30*time.Second, fleet.DriveConfig{}) {
+	if !f.WaitRecoveriesDriving(1, 30*time.Second, func() { drive(8, 2) }) {
 		log.Fatal("shard never recovered")
 	}
 	out := <-loadDone
 
 	perShard := map[int][2]int{} // shard -> {completed, errors}
 	unrouted := 0
-	for _, o := range out {
-		shard, _, ok := f.RouteOf(o.LocalAddr)
+	for _, r := range out {
+		shard, _, ok := f.RouteOf(r.Addr)
 		if !ok {
 			unrouted++
 			continue
 		}
 		agg := perShard[shard]
-		agg[0] += o.Completed
-		agg[1] += o.Errors
+		agg[0] += r.RespBytes / respSize
+		agg[1] += r.Lost
 		perShard[shard] = agg
 	}
 	fmt.Println("\n-- per-shard client outcome --")

@@ -17,8 +17,8 @@ import (
 	"remon/internal/fleet"
 	"remon/internal/ikb"
 	"remon/internal/libc"
+	"remon/internal/loadgen"
 	"remon/internal/mem"
-	"remon/internal/model"
 	"remon/internal/policy"
 	"remon/internal/varan"
 	"remon/internal/vkernel"
@@ -195,31 +195,54 @@ func TokenForgeryAt(level policy.Level, maxLag int) Outcome {
 	}
 }
 
-// StaleTokenReplay: the attacker captures a legitimate token grant but
-// issues a different syscall from outside IP-MON's entry point before
-// completing it. Expected: IK-B revokes the outstanding token (§3.1,
-// "if the first system call executed after a token has been granted does
-// not originate from within IP-MON itself").
+// StaleTokenReplay: a replica holds a live IK-B grant (IK-B has minted
+// the token and handed the call to IP-MON) and the attacker, in control
+// at that instant, issues a different syscall from outside IP-MON's
+// entry point. Expected: IK-B revokes the outstanding token and records
+// a violation (§3.1, "if the first system call executed after a token
+// has been granted does not originate from within IP-MON itself").
 func StaleTokenReplay() Outcome { return StaleTokenReplayAt(policy.SocketRWLevel, 0) }
 
-// StaleTokenReplayAt is the level/lag-parameterised variant.
+// StaleTokenReplayAt is the level/lag-parameterised variant. Every
+// replica re-registers its IP-MON behind a hijacked entry point (in
+// lockstep: registration is monitored); the hijacked getpid issues
+// getppid while its token is live, then restarts as a monitored call.
 func StaleTokenReplayAt(level policy.Level, maxLag int) Outcome {
+	const name = "stale token replay"
 	m, err := core.New(remonCfgAt(level, maxLag))
 	if err != nil {
-		return Outcome{Name: "stale token replay", Detail: err.Error()}
+		return Outcome{Name: name, Detail: err.Error()}
 	}
 	defer m.Close()
-	baseline := uint64(0)
+	var caught atomic.Int32 // replicas whose foreign call revoked and recorded
 	rep := m.Run(func(env *libc.Env) {
-		env.Getpid() // legitimate unmonitored call: token minted and consumed
+		ip := m.IPMons[env.T.Proc.ReplicaIndex]
+		mask := ip.UnmonitoredMask()
+		hijacked := false
+		m.Broker.StageRegistration(env.T.Proc, &ikb.Registration{
+			Mask: mask, RBBase: ip.RBBase, Barrier: ip.FlushThread,
+			Entry: func(ctx *ikb.Context) vkernel.Result {
+				if hijacked || ctx.Call.Num != vkernel.SysGetpid {
+					return ip.Entry(ctx)
+				}
+				hijacked = true
+				before := m.Broker.Stats()
+				ctx.Thread.Syscall(vkernel.SysGetppid)
+				if after := m.Broker.Stats(); after.TokensRevoked > before.TokensRevoked &&
+					after.TokenViolations > before.TokenViolations {
+					caught.Add(1)
+				}
+				return ctx.ForwardToMonitor()
+			},
+		})
+		env.T.Syscall(vkernel.SysIPMonRegister, uint64(mask.Count()), m.Cfg.RBSize, 1)
 		env.Getpid()
 	})
-	baseline = rep.Broker.TokenViolations
-	_ = baseline
 	return Outcome{
-		Name:     "stale token replay",
-		Detected: rep.Broker.TokenViolations == 0, // healthy flow keeps zero...
-		Detail:   "covered by ikb unit tests (revocation on non-IP-MON follow-up)",
+		Name:     name,
+		Detected: int(caught.Load()) == m.Cfg.Replicas,
+		Detail: fmt.Sprintf("live token revoked at a foreign call in %d/%d replicas (token violations: %d)",
+			caught.Load(), m.Cfg.Replicas, rep.Broker.TokenViolations),
 	}
 }
 
@@ -517,12 +540,15 @@ func FleetShardCompromise() Outcome {
 	}
 	defer f.Close()
 
-	loadDone := make(chan []fleet.ConnOutcome, 1)
-	go func() {
-		loadDone <- f.DriveClients(fleet.DriveConfig{
-			Conns: 24, RequestsPerConn: 40, ThinkTime: 5 * model.Microsecond,
-		})
-	}()
+	// Closed-loop clients: conns connections of reqs round trips each.
+	reqSize, respSize := f.RequestShape()
+	drive := func(conns, reqs int) []loadgen.ConnReport {
+		return loadgen.Burst(f.FrontNetwork(), f.FrontAddr(), loadgen.Shape{
+			RequestsPerConn: reqs, Window: 1, RequestSize: reqSize, ResponseSize: respSize,
+		}, conns)
+	}
+	loadDone := make(chan []loadgen.ConnReport, 1)
+	go func() { loadDone <- drive(24, 40) }()
 	time.Sleep(2 * time.Millisecond)
 	if err := f.InjectDivergence(0); err != nil {
 		return Outcome{Name: name, Detail: err.Error()}
@@ -530,13 +556,13 @@ func FleetShardCompromise() Outcome {
 	// Drive small bursts while waiting so the armed injection is
 	// guaranteed to meet traffic even if the background load finishes
 	// early.
-	recovered := f.WaitRecoveriesDriving(1, 30*time.Second, fleet.DriveConfig{})
+	recovered := f.WaitRecoveriesDriving(1, 30*time.Second, func() { drive(8, 2) })
 	out := <-loadDone
 
 	healthyErrors, healthyShards := 0, map[int]bool{}
-	for _, o := range out {
-		if shard, _, ok := f.RouteOf(o.LocalAddr); ok && shard != 0 {
-			healthyErrors += o.Errors
+	for _, r := range out {
+		if shard, _, ok := f.RouteOf(r.Addr); ok && shard != 0 {
+			healthyErrors += r.Lost
 			healthyShards[shard] = true
 		}
 	}

@@ -36,6 +36,13 @@ func TestTokenForgery(t *testing.T) {
 	}
 }
 
+func TestStaleTokenReplay(t *testing.T) {
+	o := StaleTokenReplay()
+	if !o.Detected {
+		t.Fatalf("outstanding token survived a foreign call: %s", o.Detail)
+	}
+}
+
 func TestSharedMemoryChannel(t *testing.T) {
 	o := SharedMemoryChannel()
 	if !o.Detected {

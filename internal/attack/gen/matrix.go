@@ -9,7 +9,7 @@ import (
 	"remon/internal/core"
 	"remon/internal/fleet"
 	"remon/internal/libc"
-	"remon/internal/model"
+	"remon/internal/loadgen"
 	"remon/internal/policy"
 	"remon/internal/vkernel"
 	"remon/internal/workload"
@@ -233,11 +233,17 @@ func RunFleetClass(tr *Trace, shards int, level policy.Level) CellResult {
 	if len(payload) == 0 {
 		payload = []byte(tr.Name)
 	}
-	loadDone := make(chan []fleet.ConnOutcome, 1)
+	// Closed-loop clients: conns connections of reqs round trips each.
+	reqSize, respSize := f.RequestShape()
+	drive := func(conns, reqs int) {
+		loadgen.Burst(f.FrontNetwork(), f.FrontAddr(), loadgen.Shape{
+			RequestsPerConn: reqs, Window: 1, RequestSize: reqSize, ResponseSize: respSize,
+		}, conns)
+	}
+	loadDone := make(chan struct{})
 	go func() {
-		loadDone <- f.DriveClients(fleet.DriveConfig{
-			Conns: 4 * shards, RequestsPerConn: 40, ThinkTime: 5 * model.Microsecond,
-		})
+		defer close(loadDone)
+		drive(4*shards, 40)
 	}()
 	time.Sleep(2 * time.Millisecond)
 	if err := f.InjectTamper(0, payload); err != nil {
@@ -245,7 +251,7 @@ func RunFleetClass(tr *Trace, shards int, level policy.Level) CellResult {
 		<-loadDone
 		return res
 	}
-	recovered := f.WaitRecoveriesDriving(1, 30*time.Second, fleet.DriveConfig{})
+	recovered := f.WaitRecoveriesDriving(1, 30*time.Second, func() { drive(8, 2) })
 	<-loadDone
 
 	verdict := f.Stats().Shards[0].LastVerdict

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"remon/internal/fleet"
+	"remon/internal/loadgen"
 	"remon/internal/model"
 )
 
@@ -35,12 +36,11 @@ func TestKillEachShardZeroLoss(t *testing.T) {
 	defer f.Close()
 
 	plan := KillEachShard(shards, 100*time.Millisecond, 200*time.Millisecond)
-	rep := Run(f, plan, Load{
-		Conns:           2 * shards,
+	rep := Run(f, plan, Load{Conns: 2 * shards, Shape: loadgen.Shape{
 		RequestsPerConn: 160,
 		Window:          4,
 		Gap:             6 * time.Millisecond,
-	})
+	}})
 
 	if rep.Kills != shards {
 		t.Fatalf("injected %d kills, want %d", rep.Kills, shards)
@@ -73,12 +73,11 @@ func TestStormZeroLoss(t *testing.T) {
 	defer f.Close()
 
 	plan := Plan{Events: []Event{{At: 50 * time.Millisecond, Kind: Storm}}}
-	rep := Run(f, plan, Load{
-		Conns:           4,
+	rep := Run(f, plan, Load{Conns: 4, Shape: loadgen.Shape{
 		RequestsPerConn: 40,
 		Window:          4,
 		Gap:             4 * time.Millisecond,
-	})
+	}})
 	if rep.Kills != 2 {
 		t.Fatalf("storm armed %d shards, want 2", rep.Kills)
 	}
@@ -99,12 +98,11 @@ func TestNetworkFaultsZeroLoss(t *testing.T) {
 		{At: 60 * time.Millisecond, Kind: DropBurst, Span: 60 * time.Millisecond, DropEvery: 4},
 		{At: 100 * time.Millisecond, Kind: ReplicaStall, Shard: 0, Span: 60 * time.Millisecond, Extra: model.Millisecond},
 	}}
-	rep := Run(f, plan, Load{
-		Conns:           4,
+	rep := Run(f, plan, Load{Conns: 4, Shape: loadgen.Shape{
 		RequestsPerConn: 60,
 		Window:          4,
 		Gap:             3 * time.Millisecond,
-	})
+	}})
 	if v := rep.Violations(); len(v) != 0 {
 		t.Fatalf("invariants violated:\n%s", joinLines(v))
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"remon/internal/fleet"
+	"remon/internal/loadgen"
 )
 
 // TestGenZeroLossFlatGoroutines: paced open-loop campaigns on the
@@ -65,17 +66,17 @@ func flatGoroutineCampaigns(t *testing.T, kill bool) {
 		var launched, sent, lost, phantom, regressed, errs int
 		var active atomic.Int64
 		peakActive := 0
-		g := &Gen{
+		g := &loadgen.Gen{
 			Net:  f.FrontNetwork(),
 			Addr: f.FrontAddr(),
-			PerConn: Load{
+			PerConn: loadgen.Shape{
 				RequestsPerConn: reqsPerConn, Window: 1, Gap: 10 * time.Millisecond,
 				RequestSize: 32, ResponseSize: respSize, Timeout: 30 * time.Second,
 			},
 			Arrivals: arrivals,
 			Loops:    loops,
 			Active:   &active,
-			OnDone: func(r ConnReport) {
+			OnDone: func(r loadgen.ConnReport) {
 				launched++
 				sent += r.Sent
 				lost += r.Lost

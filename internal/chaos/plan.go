@@ -2,11 +2,11 @@
 // zero-loss failover story. A Plan is a seeded, deterministic schedule
 // of faults — shard kills (injected divergences), administrative drains,
 // network delay spikes, drop bursts, replica stalls, and divergence
-// storms — executed against a running fleet while an open-loop load
-// driver keeps every shard under traffic. An invariant checker audits
-// the run: every accepted request got exactly one response, per-conn
-// byte streams stayed monotone in virtual time, and no injected verdict
-// was lost.
+// storms — executed against a running fleet while open-loop clients on
+// internal/loadgen keep every shard under traffic. An invariant checker
+// audits the run: every accepted request got exactly one response,
+// per-conn byte streams stayed monotone in virtual time, and no injected
+// verdict was lost.
 //
 // Determinism: the schedule (event kinds, targets, offsets, fault
 // parameters) derives entirely from the plan seed via the repo's

@@ -1,5 +1,5 @@
-// The chaos runner: executes a fault plan against a live fleet while an
-// open-loop load driver keeps every shard under traffic, then audits the
+// The chaos runner: executes a fault plan against a live fleet while
+// loadgen clients keep every shard under traffic, then audits the
 // invariants. The load is windowed open-loop: each connection keeps up
 // to Load.Window requests outstanding without waiting for their
 // responses — exactly the state a mid-flight shard kill must not lose.
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"remon/internal/fleet"
+	"remon/internal/loadgen"
 	"remon/internal/vnet"
 )
 
@@ -19,79 +20,44 @@ type Load struct {
 	// Conns is the number of concurrent long-lived connections (default
 	// 2x the shard count, so round-robin seeds every shard).
 	Conns int
-	// RequestsPerConn is the total requests each connection issues
-	// (default 64).
-	RequestsPerConn int
-	// Window is the max outstanding (unanswered) requests per connection
-	// (default 4).
-	Window int
-	// Gap is the host-time pacing between one connection's sends
-	// (default 500µs) — it stretches the load across the fault schedule.
-	Gap time.Duration
-	// RequestSize / ResponseSize default to the fleet server protocol's
-	// shape and must match it.
-	RequestSize  int
-	ResponseSize int
-	// Timeout bounds how long a connection waits for its remaining
-	// responses after faults (default 30s host time); a connection that
-	// exceeds it records lost requests.
-	Timeout time.Duration
-	// Loops is the generator's event-loop pool size (default 4). The
-	// whole drive costs Loops goroutines regardless of Conns.
-	Loops int
+	// Shape is each connection's request sequence; zero fields take the
+	// chaos defaults (shapeDefaults) with 64 requests per connection.
+	loadgen.Shape
 }
 
-func (l Load) withDefaults(shards, reqSize, respSize int) Load {
-	if l.Conns <= 0 {
-		l.Conns = 2 * shards
+// shapeDefaults fills the chaos connection shape: reqs requests, up to 4
+// outstanding, sends 500µs apart so the load stretches across the fault
+// schedule, the fleet server protocol's sizes, and a 30s timeout.
+func shapeDefaults(s loadgen.Shape, reqs, reqSize, respSize int) loadgen.Shape {
+	if s.RequestsPerConn <= 0 {
+		s.RequestsPerConn = reqs
 	}
-	if l.RequestsPerConn <= 0 {
-		l.RequestsPerConn = 64
+	if s.Window <= 0 {
+		s.Window = 4
 	}
-	if l.Window <= 0 {
-		l.Window = 4
+	if s.Gap <= 0 {
+		s.Gap = 500 * time.Microsecond
 	}
-	if l.Gap <= 0 {
-		l.Gap = 500 * time.Microsecond
+	if s.RequestSize <= 0 {
+		s.RequestSize = reqSize
 	}
-	if l.RequestSize <= 0 {
-		l.RequestSize = reqSize
+	if s.ResponseSize <= 0 {
+		s.ResponseSize = respSize
 	}
-	if l.ResponseSize <= 0 {
-		l.ResponseSize = respSize
+	if s.Timeout <= 0 {
+		s.Timeout = 30 * time.Second
 	}
-	if l.Timeout <= 0 {
-		l.Timeout = 30 * time.Second
-	}
-	if l.Loops <= 0 {
-		l.Loops = 4
-	}
-	return l
-}
-
-// ConnReport is one connection's audited outcome.
-type ConnReport struct {
-	Addr      string
-	Sent      int    // requests written to the wire
-	RespBytes int    // response bytes received
-	Lost      int    // requests with no response at timeout
-	Phantom   bool   // received bytes for requests never sent
-	Regressed bool   // arrival stamps went backwards
-	Err       string // terminal stream error, if any
-	// Admit is the host time from connect start to the first complete
-	// response — the end-to-end admission latency a surging client
-	// experiences, including any balancer retry backoff spent waiting
-	// for the autoscaler to add capacity. Zero when no response ever
-	// completed.
-	Admit time.Duration
+	return s
 }
 
 // Run executes plan against f under load and audits the result. The
 // fleet must outlive the call; Run does not Close it.
 func Run(f *fleet.Fleet, plan Plan, load Load) Report {
-	st := f.Stats()
 	reqSize, respSize := f.RequestShape()
-	load = load.withDefaults(len(st.Shards), reqSize, respSize)
+	if load.Conns <= 0 {
+		load.Conns = 2 * len(f.Stats().Shards)
+	}
+	load.Shape = shapeDefaults(load.Shape, 64, reqSize, respSize)
 	start := time.Now()
 
 	rep := Report{Plan: plan, Load: load}
@@ -106,18 +72,9 @@ func Run(f *fleet.Fleet, plan Plan, load Load) Report {
 		runEvents(f, plan, start, &injected, &drains)
 	}()
 
-	// Open-loop clients: every connection launches at once (offset 0)
-	// on the event-driven generator — the fixed-capacity drive.
-	conns := make([]ConnReport, 0, load.Conns)
-	g := &Gen{
-		Net:      f.FrontNetwork(),
-		Addr:     f.FrontAddr(),
-		PerConn:  load,
-		Arrivals: make([]time.Duration, load.Conns),
-		Loops:    load.Loops,
-		OnDone:   func(r ConnReport) { conns = append(conns, r) },
-	}
-	g.Run()
+	// Open-loop clients, every connection due at once: the
+	// fixed-capacity drive.
+	conns := loadgen.Burst(f.FrontNetwork(), f.FrontAddr(), load.Shape, load.Conns)
 	<-faultsDone
 
 	// Verdict conservation: every injected divergence must complete a
@@ -199,7 +156,7 @@ type Report struct {
 	Plan Plan
 	Load Load
 
-	Conns      []ConnReport
+	Conns      []loadgen.ConnReport
 	Kills      int
 	Drains     int
 	Elapsed    time.Duration
@@ -211,21 +168,6 @@ type Report struct {
 
 // Violations lists every invariant breach; empty means the run is clean.
 func (r *Report) Violations() []string { return r.violations }
-
-// Emit reports the run's audit figures as (metric, value) pairs under
-// the telemetry naming convention ("_total" marks cumulative counters).
-// Plain func signature so this package never imports the registry —
-// harnesses register a finished report as one more collector next to
-// the live fleet series.
-func (r *Report) Emit(emit func(name string, v uint64)) {
-	emit("kills_total", uint64(r.Kills))
-	emit("drains_total", uint64(r.Drains))
-	emit("requests_sent_total", uint64(r.RequestsSent()))
-	emit("responses_received_total", uint64(r.ResponsesReceived()))
-	emit("requests_lost_total", uint64(r.Lost()))
-	emit("violations_total", uint64(len(r.violations)))
-	emit("conns", uint64(len(r.Conns)))
-}
 
 // RequestsSent / ResponsesReceived total the audited connections.
 func (r *Report) RequestsSent() int {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"remon/internal/fleet"
+	"remon/internal/loadgen"
 	"remon/internal/telemetry"
 )
 
@@ -91,12 +92,11 @@ func TestStatsConsistencyUnderChaos(t *testing.T) {
 	// injected divergence fires on the shard's next request, so the load
 	// (~128 x 3ms per connection) must outlast the last kill at 290ms.
 	plan := KillEachShard(shards, 50*time.Millisecond, 120*time.Millisecond)
-	rep := Run(f, plan, Load{
-		Conns:           2 * shards,
+	rep := Run(f, plan, Load{Conns: 2 * shards, Shape: loadgen.Shape{
 		RequestsPerConn: 128,
 		Window:          4,
 		Gap:             3 * time.Millisecond,
-	})
+	}})
 	stop.Store(true)
 	wg.Wait()
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"remon/internal/fleet"
+	"remon/internal/loadgen"
 )
 
 // SurgePhase is one segment of the offered-load schedule.
@@ -34,70 +35,29 @@ type SurgePhase struct {
 type SurgeLoad struct {
 	// Phases is the offered-load schedule, executed in order.
 	Phases []SurgePhase
-	// RequestsPerConn / Window / Gap / sizes / Timeout shape each
-	// launched connection exactly as Load does.
-	RequestsPerConn int
-	Window          int
-	Gap             time.Duration
-	RequestSize     int
-	ResponseSize    int
-	Timeout         time.Duration
+	// Shape is each launched connection's request sequence, defaulted as
+	// Load's but with 32 requests per connection.
+	loadgen.Shape
 	// SampleEvery is the pool-trajectory sampling period (default 5ms).
 	SampleEvery time.Duration
 	// Settle is how long sampling continues after the last connection
 	// finishes (default 1s) — the window in which the scale-down back to
 	// the floor must show up in the trajectory.
 	Settle time.Duration
-	// Loops is the generator's event-loop pool size (default 4).
-	Loops int
 }
 
 func (l SurgeLoad) withDefaults(reqSize, respSize int) SurgeLoad {
 	if len(l.Phases) == 0 {
 		l.Phases = []SurgePhase{{Duration: time.Second, ConnsPerSec: 10}}
 	}
-	if l.RequestsPerConn <= 0 {
-		l.RequestsPerConn = 32
-	}
-	if l.Window <= 0 {
-		l.Window = 4
-	}
-	if l.Gap <= 0 {
-		l.Gap = 500 * time.Microsecond
-	}
-	if l.RequestSize <= 0 {
-		l.RequestSize = reqSize
-	}
-	if l.ResponseSize <= 0 {
-		l.ResponseSize = respSize
-	}
-	if l.Timeout <= 0 {
-		l.Timeout = 30 * time.Second
-	}
+	l.Shape = shapeDefaults(l.Shape, 32, reqSize, respSize)
 	if l.SampleEvery <= 0 {
 		l.SampleEvery = 5 * time.Millisecond
 	}
 	if l.Settle <= 0 {
 		l.Settle = time.Second
 	}
-	if l.Loops <= 0 {
-		l.Loops = 4
-	}
 	return l
-}
-
-// load projects the per-connection shape for the generator.
-func (l SurgeLoad) load() Load {
-	return Load{
-		Conns:           1,
-		RequestsPerConn: l.RequestsPerConn,
-		Window:          l.Window,
-		Gap:             l.Gap,
-		RequestSize:     l.RequestSize,
-		ResponseSize:    l.ResponseSize,
-		Timeout:         l.Timeout,
-		Loops:           l.Loops,
-	}
 }
 
 // arrivals lowers the phase schedule into per-connection launch offsets:
@@ -180,10 +140,9 @@ func (r *SurgeReport) AdmitP(q float64) time.Duration {
 func RunSurge(f *fleet.Fleet, plan Plan, sl SurgeLoad) SurgeReport {
 	reqSize, respSize := f.RequestShape()
 	sl = sl.withDefaults(reqSize, respSize)
-	perConn := sl.load()
 	start := time.Now()
 
-	rep := SurgeReport{Report: Report{Plan: plan, Load: perConn}}
+	rep := SurgeReport{Report: Report{Plan: plan, Load: Load{Conns: 1, Shape: sl.Shape}}}
 
 	var injected, drains atomic.Int64
 	faultsDone := make(chan struct{})
@@ -196,16 +155,15 @@ func RunSurge(f *fleet.Fleet, plan Plan, sl SurgeLoad) SurgeReport {
 	// event-loop pool; finished connections stream into conns under mu
 	// (shared with the sampler, which reads Launched concurrently).
 	var mu sync.Mutex
-	var conns []ConnReport
+	var conns []loadgen.ConnReport
 	var launched atomic.Int64
-	g := &Gen{
+	g := &loadgen.Gen{
 		Net:      f.FrontNetwork(),
 		Addr:     f.FrontAddr(),
-		PerConn:  perConn,
+		PerConn:  sl.Shape,
 		Arrivals: sl.arrivals(),
-		Loops:    sl.Loops,
 		Launched: &launched,
-		OnDone: func(r ConnReport) {
+		OnDone: func(r loadgen.ConnReport) {
 			mu.Lock()
 			conns = append(conns, r)
 			mu.Unlock()
@@ -251,7 +209,7 @@ func RunSurge(f *fleet.Fleet, plan Plan, sl SurgeLoad) SurgeReport {
 
 	rep.Kills = int(injected.Load())
 	rep.Drains = int(drains.Load())
-	if rep.Kills > 0 && !f.WaitRecoveries(rep.Kills, perConn.Timeout) {
+	if rep.Kills > 0 && !f.WaitRecoveries(rep.Kills, sl.Timeout) {
 		rep.lostVerdicts = true
 	}
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"remon/internal/fleet"
+	"remon/internal/loadgen"
 )
 
 // surgeFleet builds the elastic-campaign fleet: small per-shard
@@ -49,11 +50,13 @@ func surgeSchedule() SurgeLoad {
 			{Duration: 150 * time.Millisecond, ConnsPerSec: 100},
 			{Duration: 200 * time.Millisecond, ConnsPerSec: 10},
 		},
-		RequestsPerConn: 40,
-		Window:          4,
-		Gap:             35 * time.Millisecond,
-		SampleEvery:     5 * time.Millisecond,
-		Settle:          3 * time.Second,
+		Shape: loadgen.Shape{
+			RequestsPerConn: 40,
+			Window:          4,
+			Gap:             35 * time.Millisecond,
+		},
+		SampleEvery: 5 * time.Millisecond,
+		Settle:      3 * time.Second,
 	}
 }
 
@@ -97,6 +100,10 @@ func TestSurgeAutoscaleZeroLoss(t *testing.T) {
 	}
 	if rep.RequestsSent() != rep.ResponsesReceived() {
 		t.Fatalf("sent %d, answered %d", rep.RequestsSent(), rep.ResponsesReceived())
+	}
+	// Admission latency, timed from each connection's due instant.
+	if p50, p99 := rep.AdmitP(0.5), rep.AdmitP(0.99); p50 <= 0 || p99 < p50 {
+		t.Fatalf("admission latency p50 %v, p99 %v; want 0 < p50 <= p99", p50, p99)
 	}
 	if rep.PeakServing != 4 {
 		t.Fatalf("pool peaked at %d serving shards, want the MaxShards clamp 4; trajectory: %+v",

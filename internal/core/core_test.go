@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"remon/internal/libc"
 	"remon/internal/model"
@@ -539,6 +540,52 @@ func TestTokenAccountingClean(t *testing.T) {
 	}
 	if rep.Broker.TokensMinted == 0 {
 		t.Fatal("no tokens minted")
+	}
+}
+
+// TestTemporalExemptionAgreesAcrossReplicas: the temporal policy (§3.4)
+// exempts a random fraction of monitored writes after a streak of
+// approvals. Every replica draws the same coin flips from the run's seed,
+// so they exempt the same calls and stay in lockstep; replicas seeded
+// apart would rendezvous on different calls and stall until the
+// watchdog, which this test shortens so that failure shows in seconds.
+func TestTemporalExemptionAgreesAcrossReplicas(t *testing.T) {
+	prog := func(env *libc.Env) {
+		fd, errno := env.Open("/tmp/temporal.txt", vkernel.OCreat|vkernel.ORdwr, 0o644)
+		if errno != 0 {
+			t.Errorf("open: %v", errno)
+			return
+		}
+		buf := make([]byte, 64)
+		for i := 0; i < 300; i++ {
+			if i%2 == 0 {
+				env.Pread(fd, buf, int64(i))
+			} else {
+				env.Write(fd, []byte("record"))
+			}
+		}
+		env.Close(fd)
+	}
+	for _, seed := range []uint64{1, 2, 3} {
+		rep, err := RunProgram(Config{
+			Mode: ModeReMon, Replicas: 2, Policy: policy.NonsocketROLevel, Seed: seed,
+			Temporal:        &TemporalConfig{MinApprovals: 10, ExemptProb: 0.5, WindowCalls: 1000},
+			LockstepTimeout: 2 * time.Second,
+		}, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Verdict.Diverged {
+			t.Fatalf("seed %d: verdict on a benign run: %s", seed, rep.Verdict.Reason)
+		}
+		exempt := uint64(0)
+		for _, s := range rep.IPMon {
+			exempt += s.TemporalExempt
+		}
+		t.Logf("seed %d: %d exempt, %d monitored", seed, exempt, rep.Monitor.MonitoredCalls)
+		if exempt == 0 {
+			t.Fatalf("seed %d: the temporal policy exempted no call", seed)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"remon/internal/model"
 	"remon/internal/policy"
 	"remon/internal/vnet"
 )
@@ -32,7 +31,7 @@ func TestControllerRelaxesLiveFleet(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 8, ThinkTime: model.Microsecond})
+		drive(f, 8, 8)
 		lv, err := f.ShardPolicy(0)
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +72,7 @@ func TestControllerResetsOnDivergence(t *testing.T) {
 	if err := f.InjectDivergence(1); err != nil {
 		t.Fatal(err)
 	}
-	if !f.WaitRecoveriesDriving(1, 20*time.Second, DriveConfig{}) {
+	if !f.WaitRecoveriesDriving(1, 20*time.Second, burst(f)) {
 		t.Fatal("divergence recovery never completed")
 	}
 

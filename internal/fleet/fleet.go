@@ -29,6 +29,10 @@
 // shard's monitored service time. Control-plane reactions (verdict
 // handling, respawn, drain grace) are host-time, as they would be for a
 // real orchestrator.
+//
+// The fleet owns no client traffic. Tests, the attack suite and the
+// examples drive it with internal/loadgen against FrontAddr and resolve
+// each connection's shard with RouteOf.
 package fleet
 
 import (
@@ -1124,19 +1128,13 @@ func (f *Fleet) WaitRecoveries(n int, timeout time.Duration) bool {
 	}
 }
 
-// WaitRecoveriesDriving waits like WaitRecoveries but interleaves small
-// client bursts, guaranteeing an armed InjectDivergence meets traffic —
-// without its own load a caller can race: the background workload may
-// finish before any request reaches the compromised shard, and the
-// injection then never fires. Burst zero-values fall back to a minimal
-// drive.
-func (f *Fleet) WaitRecoveriesDriving(n int, timeout time.Duration, burst DriveConfig) bool {
-	if burst.Conns <= 0 {
-		burst.Conns = 8
-	}
-	if burst.RequestsPerConn <= 0 {
-		burst.RequestsPerConn = 2
-	}
+// WaitRecoveriesDriving waits like WaitRecoveries but runs drive
+// between 10ms waits, guaranteeing an armed InjectDivergence meets
+// traffic: without its own load a caller can race, the background
+// workload may finish before any request reaches the compromised shard,
+// and the injection then never fires. drive is the caller's client burst
+// (typically a loadgen.Burst against FrontAddr).
+func (f *Fleet) WaitRecoveriesDriving(n int, timeout time.Duration, drive func()) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		if f.WaitRecoveries(n, 10*time.Millisecond) {
@@ -1145,7 +1143,7 @@ func (f *Fleet) WaitRecoveriesDriving(n int, timeout time.Duration, burst DriveC
 		if time.Now().After(deadline) {
 			return false
 		}
-		f.DriveClients(burst)
+		drive()
 	}
 }
 

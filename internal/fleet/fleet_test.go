@@ -5,11 +5,27 @@ import (
 	"testing"
 	"time"
 
+	"remon/internal/loadgen"
 	"remon/internal/mem"
-	"remon/internal/model"
 	"remon/internal/policy"
 	"remon/internal/vkernel"
 )
+
+// drive runs conns closed-loop clients of reqs requests each against
+// f's front address and returns their reports.
+func drive(f *Fleet, conns, reqs int) []loadgen.ConnReport {
+	return loadgen.Burst(f.FrontNetwork(), f.FrontAddr(), loadgen.Shape{
+		RequestsPerConn: reqs, Window: 1,
+		RequestSize: f.cfg.RequestSize, ResponseSize: f.cfg.ResponseSize,
+	}, conns)
+}
+
+// burst is the small drive WaitRecoveriesDriving interleaves.
+func burst(f *Fleet) func() { return func() { drive(f, 8, 2) } }
+
+// failed reports whether a connection lost a request or ended on an
+// error.
+func failed(r loadgen.ConnReport) bool { return r.Lost > 0 || r.Err != "" }
 
 // quickCfg keeps test fleets small and fast.
 func quickCfg(shards int) Config {
@@ -29,13 +45,11 @@ func TestFleetServesAcrossShards(t *testing.T) {
 	}
 	defer f.Close()
 
-	out := f.DriveClients(DriveConfig{
-		Conns: 16, RequestsPerConn: 8, ThinkTime: 2 * model.Microsecond,
-	})
+	out := drive(f, 16, 8)
 	completed, errors := 0, 0
 	for _, o := range out {
-		completed += o.Completed
-		errors += o.Errors
+		completed += o.RespBytes / f.cfg.ResponseSize
+		errors += o.Lost
 	}
 	if errors != 0 {
 		t.Fatalf("%d client errors on a healthy fleet", errors)
@@ -60,8 +74,8 @@ func TestFleetServesAcrossShards(t *testing.T) {
 
 	// Every connection's route is recorded and resolvable.
 	for _, o := range out {
-		if _, _, ok := f.RouteOf(o.LocalAddr); !ok {
-			t.Fatalf("no route recorded for %s", o.LocalAddr)
+		if _, _, ok := f.RouteOf(o.Addr); !ok {
+			t.Fatalf("no route recorded for %s", o.Addr)
 		}
 	}
 }
@@ -80,19 +94,15 @@ func TestFleetQuarantineRecovery(t *testing.T) {
 
 	// Concurrent workload with enough per-connection round trips that
 	// shard 0's in-flight streams are mid-request when the verdict lands.
-	loadDone := make(chan []ConnOutcome, 1)
-	go func() {
-		loadDone <- f.DriveClients(DriveConfig{
-			Conns: 24, RequestsPerConn: 40, ThinkTime: 5 * model.Microsecond,
-		})
-	}()
+	loadDone := make(chan []loadgen.ConnReport, 1)
+	go func() { loadDone <- drive(f, 24, 40) }()
 
 	// Let the load ramp, then compromise shard 0's master replica.
 	time.Sleep(2 * time.Millisecond)
 	if err := f.InjectDivergence(0); err != nil {
 		t.Fatal(err)
 	}
-	if !f.WaitRecoveriesDriving(1, 30*time.Second, DriveConfig{}) {
+	if !f.WaitRecoveriesDriving(1, 30*time.Second, burst(f)) {
 		t.Fatalf("no recovery completed; transitions: %+v", f.Transitions())
 	}
 	out := <-loadDone
@@ -100,12 +110,12 @@ func TestFleetQuarantineRecovery(t *testing.T) {
 	// Partition client outcomes by the shard the balancer chose.
 	okShards, badShardErrors := map[int]int{}, 0
 	for _, o := range out {
-		shard, _, routed := f.RouteOf(o.LocalAddr)
+		shard, _, routed := f.RouteOf(o.Addr)
 		switch {
 		case routed && shard != 0:
-			okShards[shard] += o.Errors
+			okShards[shard] += o.Lost
 		case routed && shard == 0:
-			badShardErrors += o.Errors
+			badShardErrors += o.Lost
 		default:
 			// Unrouted: refused in the quarantine window; tolerated.
 		}
@@ -148,9 +158,9 @@ func TestFleetQuarantineRecovery(t *testing.T) {
 	}
 
 	// The respawned shard serves again: a fresh drive completes clean.
-	out = f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 4})
+	out = drive(f, 8, 4)
 	for _, o := range out {
-		if o.Errors != 0 {
+		if failed(o) {
 			t.Fatalf("post-recovery drive saw errors: %+v", o)
 		}
 	}
@@ -170,12 +180,8 @@ func TestFleetDrainShardRotates(t *testing.T) {
 	}
 	defer f.Close()
 
-	loadDone := make(chan []ConnOutcome, 1)
-	go func() {
-		loadDone <- f.DriveClients(DriveConfig{
-			Conns: 8, RequestsPerConn: 10, ThinkTime: 2 * model.Microsecond,
-		})
-	}()
+	loadDone := make(chan []loadgen.ConnReport, 1)
+	go func() { loadDone <- drive(f, 8, 10) }()
 	time.Sleep(1 * time.Millisecond)
 	if err := f.DrainShard(0); err != nil {
 		t.Fatal(err)
@@ -183,7 +189,7 @@ func TestFleetDrainShardRotates(t *testing.T) {
 	out := <-loadDone
 	// A graceful drain lets in-flight streams finish: zero errors.
 	for _, o := range out {
-		if o.Errors != 0 {
+		if failed(o) {
 			t.Fatalf("drain cut a stream: %+v", o)
 		}
 	}
@@ -304,7 +310,7 @@ func TestFleetRespawnConservativePolicy(t *testing.T) {
 	if err := f.InjectDivergence(0); err != nil {
 		t.Fatal(err)
 	}
-	if !f.WaitRecoveriesDriving(1, 30*time.Second, DriveConfig{}) {
+	if !f.WaitRecoveriesDriving(1, 30*time.Second, burst(f)) {
 		t.Fatalf("no recovery; transitions: %+v", f.Transitions())
 	}
 	if lv, err := f.ShardPolicy(0); err != nil || lv != policy.BaseLevel {
@@ -318,9 +324,9 @@ func TestFleetRespawnConservativePolicy(t *testing.T) {
 	}
 
 	// The demoted shard still serves (monitored, slower, but correct).
-	out := f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 6})
+	out := drive(f, 8, 6)
 	for _, o := range out {
-		if o.Errors != 0 {
+		if failed(o) {
 			t.Fatalf("errors on the BASE-respawned fleet: %+v", o)
 		}
 	}
@@ -332,9 +338,9 @@ func TestFleetRespawnConservativePolicy(t *testing.T) {
 	if lv, _ := f.ShardPolicy(0); lv != policy.SocketRWLevel {
 		t.Fatalf("re-relax did not land: %v", lv)
 	}
-	out = f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 6})
+	out = drive(f, 8, 6)
 	for _, o := range out {
-		if o.Errors != 0 {
+		if failed(o) {
 			t.Fatalf("errors after re-relax: %+v", o)
 		}
 	}
@@ -353,12 +359,8 @@ func TestFleetSetShardPolicyLive(t *testing.T) {
 	}
 	defer f.Close()
 
-	loadDone := make(chan []ConnOutcome, 1)
-	go func() {
-		loadDone <- f.DriveClients(DriveConfig{
-			Conns: 12, RequestsPerConn: 30, ThinkTime: 2 * model.Microsecond,
-		})
-	}()
+	loadDone := make(chan []loadgen.ConnReport, 1)
+	go func() { loadDone <- drive(f, 12, 30) }()
 	time.Sleep(1 * time.Millisecond)
 	for i := 0; i < 2; i++ {
 		if err := f.SetShardPolicy(i, policy.LevelRules(policy.SocketRWLevel)); err != nil {
@@ -367,7 +369,7 @@ func TestFleetSetShardPolicyLive(t *testing.T) {
 	}
 	out := <-loadDone
 	for _, o := range out {
-		if o.Errors != 0 {
+		if failed(o) {
 			t.Fatalf("errors during live policy reload: %+v", o)
 		}
 	}
@@ -381,9 +383,9 @@ func TestFleetSetShardPolicyLive(t *testing.T) {
 	}
 	// A follow-up drive runs with relaxed monitoring: no verdicts, no
 	// errors.
-	out = f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 8})
+	out = drive(f, 8, 8)
 	for _, o := range out {
-		if o.Errors != 0 {
+		if failed(o) {
 			t.Fatalf("errors after reload settled: %+v", o)
 		}
 	}
@@ -432,8 +434,8 @@ func TestServerProgramMakesNoBatchableCall(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := calls.Load()
-		for _, o := range f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 8, ThinkTime: model.Microsecond}) {
-			if o.Errors != 0 {
+		for _, o := range drive(f, 8, 8) {
+			if failed(o) {
 				t.Fatalf("%v: errors under load: %+v", lv, o)
 			}
 		}

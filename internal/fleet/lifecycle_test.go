@@ -61,8 +61,8 @@ func TestLifecycleWalkReleasesEverything(t *testing.T) {
 	if got, err := f.AddShard(); err != nil || got != 1 {
 		t.Fatalf("AddShard = %d, %v; want the tombstone 1 revived", got, err)
 	}
-	for _, o := range f.DriveClients(DriveConfig{Conns: 8, RequestsPerConn: 2}) {
-		if o.Errors != 0 || o.Completed != 2 {
+	for _, o := range drive(f, 8, 2) {
+		if failed(o) || o.RespBytes/f.cfg.ResponseSize != 2 {
 			t.Fatalf("client after the walk: %+v", o)
 		}
 	}

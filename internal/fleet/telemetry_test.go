@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"remon/internal/model"
 	"remon/internal/telemetry"
 )
 
@@ -26,9 +25,9 @@ func TestFleetScrapeCoversEverySubsystem(t *testing.T) {
 	defer exp.Close()
 
 	// Traffic first, so the counters are non-trivial.
-	out := f.DriveClients(DriveConfig{Conns: 9, RequestsPerConn: 4, ThinkTime: model.Microsecond})
+	out := drive(f, 9, 4)
 	for _, o := range out {
-		if o.Errors != 0 {
+		if failed(o) {
 			t.Fatalf("client errors: %+v", out)
 		}
 	}
@@ -136,7 +135,7 @@ func TestFleetHealthDegradesOnQuarantine(t *testing.T) {
 	if err := f.InjectDivergence(0); err != nil {
 		t.Fatal(err)
 	}
-	if !f.WaitRecoveriesDriving(1, 20e9, DriveConfig{}) {
+	if !f.WaitRecoveriesDriving(1, 20e9, burst(f)) {
 		t.Fatal("recovery never completed")
 	}
 	rep := f.Health()

@@ -1,13 +1,8 @@
-// The event-driven open-loop generator: N virtual connections driven by
-// a fixed pool of poller event loops instead of driveOpenLoop's two
-// goroutines per connection. Each connection is a small state machine —
-// window tokens, Gap pacing on a hashed timer wheel, the same
-// conservation / phantom / stamp audits — advanced only when its conn
-// becomes readable (vnet.Poller) or one of its timers fires. The pool
-// is what makes the million-connection campaign possible: goroutines
-// are O(loops), not O(conns), and per-connection cost is a struct plus
-// a poller registration.
-package chaos
+// The event loops behind Gen. Each connection is a small state machine —
+// window tokens, Gap pacing on a hashed timer wheel, the audits —
+// advanced only when its conn becomes readable (vnet.Poller) or one of
+// its timers fires, so goroutines are O(loops), not O(conns).
+package loadgen
 
 import (
 	"sync"
@@ -18,20 +13,17 @@ import (
 	"remon/internal/vnet"
 )
 
-// Gen is one open-loop generation campaign against a front address.
-// Run and RunSurge both lower onto it.
+// Gen is one generation campaign against a front address.
 type Gen struct {
 	// Net / Addr locate the front listener (fleet.FrontNetwork/FrontAddr).
 	Net  *vnet.Network
 	Addr string
-	// PerConn shapes every connection. All shape fields must already be
-	// positive (callers run withDefaults); Conns is ignored — the
-	// campaign size is len(Arrivals).
-	PerConn Load
-	// Arrivals is the launch schedule: one sorted host-time offset from
-	// campaign start per connection. All-zero offsets launch everything
-	// at once (the fixed-capacity chaos Run); paced offsets shape an
-	// offered-load rate (surge campaigns).
+	// PerConn shapes every connection; zero fields take Shape's defaults.
+	PerConn Shape
+	// Arrivals is the schedule: one sorted host-time offset from campaign
+	// start per connection, the instant the connection is due. All-zero
+	// offsets make every connection due at once (Burst); paced offsets
+	// shape an offered-load rate (surge campaigns).
 	Arrivals []time.Duration
 	// Loops is the event-loop pool size (default 4). Total goroutine
 	// cost of the campaign is exactly Loops.
@@ -57,6 +49,7 @@ func (g *Gen) Run() {
 	if loops > len(g.Arrivals) && len(g.Arrivals) > 0 {
 		loops = len(g.Arrivals)
 	}
+	g.PerConn = g.PerConn.withDefaults()
 	req := make([]byte, g.PerConn.RequestSize)
 	for i := range req {
 		req[i] = byte('A' + i%26)
@@ -88,16 +81,6 @@ func (g *Gen) Run() {
 		}(mine)
 	}
 	wg.Wait()
-}
-
-// emit hands a finished connection to the sink, serialized.
-func (g *Gen) emit(r ConnReport) {
-	if g.OnDone == nil {
-		return
-	}
-	g.mu.Lock()
-	g.OnDone(r)
-	g.mu.Unlock()
 }
 
 // Timer-wheel shape: 512 slots of 100µs cover a 51.2ms horizon per
@@ -180,16 +163,17 @@ func (w *timerWheel) advance(now time.Time, fire func(timerEnt)) {
 	}
 }
 
-// genConn is one virtual connection's state machine. It mirrors
-// driveOpenLoop exactly: up to Window requests outstanding, sends paced
-// by Gap in host time, the virtual clock threaded through Send, and the
-// same Lost / Phantom / Regressed / Admit accounting.
+// genConn is one virtual connection's state machine: up to Window
+// requests outstanding, sends paced by Gap in host time, and Lost /
+// Phantom / Regressed / Admit accounting. Its virtual clock never runs
+// behind what it has seen: a closed-loop request is stamped after the
+// response it waited for.
 type genConn struct {
 	key        uint64
 	c          *vnet.Conn // nil until the (possibly retried) connect lands
 	rep        ConnReport
-	now        model.Duration // virtual send clock (threaded through Send)
-	connStart  time.Time
+	now        model.Duration // virtual clock: threaded through Send and every arrival
+	due        time.Time      // start + arrival offset: Admit and the deadline count from here
 	deadline   time.Time
 	gapAt      time.Time     // earliest host time of the next send
 	connGap    time.Duration // current SYN-retry backoff
@@ -220,9 +204,13 @@ func (gl *genLoop) run() {
 	evs := make([]vnet.Event, 256)
 	for gl.live > 0 || gl.nextArr < len(gl.arrivals) {
 		now := time.Now()
-		for gl.nextArr < len(gl.arrivals) && !now.Before(gl.start.Add(gl.arrivals[gl.nextArr])) {
+		for gl.nextArr < len(gl.arrivals) {
+			due := gl.start.Add(gl.arrivals[gl.nextArr])
+			if now.Before(due) {
+				break
+			}
 			gl.nextArr++
-			gl.launch()
+			gl.launch(due)
 		}
 		gl.wheel.advance(now, gl.fire)
 		if gl.live == 0 && gl.nextArr == len(gl.arrivals) {
@@ -252,22 +240,21 @@ func (gl *genLoop) run() {
 }
 
 // launch registers one connection and starts its non-blocking connect.
-// The conn is live (deadline armed) from its arrival instant: a connect
-// that never lands is finished by the deadline with full loss, exactly
-// as a client that gave up waiting for SYN-ACK.
-func (gl *genLoop) launch() {
+// The conn is live (deadline armed) from its due instant, not from when
+// the loop got round to it: a loop that falls behind its schedule shows
+// the backlog in Admit and spends it from the deadline, as a real client
+// would. A connect that never lands is finished by the deadline with
+// full loss, exactly as a client that gave up waiting for SYN-ACK.
+func (gl *genLoop) launch(due time.Time) {
 	if gl.g.Launched != nil {
 		gl.g.Launched.Add(1)
 	}
-	load := gl.g.PerConn
-	connStart := time.Now()
 	gc := &genConn{
-		key:       uint64(len(gl.conns)),
-		now:       0,
-		connStart: connStart,
-		deadline:  connStart.Add(load.Timeout),
-		gapAt:     connStart,
-		connGap:   connRetryStart,
+		key:      uint64(len(gl.conns)),
+		due:      due,
+		deadline: due.Add(gl.g.PerConn.Timeout),
+		gapAt:    due,
+		connGap:  connRetryStart,
 	}
 	gl.conns = append(gl.conns, gc)
 	gl.live++
@@ -318,7 +305,7 @@ func (gl *genLoop) trySend(gc *genConn, now time.Time) {
 		at, err := gc.c.Send(gl.req, gc.now)
 		if err != nil {
 			// The conn was cut under us; the RX side (or the deadline)
-			// records the loss — mirrors driveOpenLoop's writer bailing.
+			// records the loss.
 			gc.sendDead = true
 			return
 		}
@@ -351,8 +338,7 @@ func (gl *genLoop) fire(e timerEnt) {
 	}
 }
 
-// onReadable drains the conn to ErrWouldBlock, auditing every segment —
-// the reader half of driveOpenLoop, minus the sleep-poll.
+// onReadable drains the conn to ErrWouldBlock, auditing every segment.
 func (gl *genLoop) onReadable(gc *genConn) {
 	load := gl.g.PerConn
 	want := load.RequestsPerConn * load.ResponseSize
@@ -374,10 +360,10 @@ func (gl *genLoop) onReadable(gc *genConn) {
 		if at < gc.lastArrive {
 			gc.rep.Regressed = true
 		}
-		gc.lastArrive = at
+		gc.lastArrive, gc.now = at, max(gc.now, at)
 		gc.rep.RespBytes += len(data)
 		if gc.rep.Admit == 0 && gc.rep.RespBytes >= load.ResponseSize {
-			gc.rep.Admit = time.Since(gc.connStart)
+			gc.rep.Admit = time.Since(gc.due)
 		}
 		// Phantom check: bytes may only arrive for requests already sent.
 		if int64(gc.rep.RespBytes) > int64(gc.sent)*int64(load.ResponseSize) {
@@ -393,8 +379,8 @@ func (gl *genLoop) onReadable(gc *genConn) {
 	gl.trySend(gc, time.Now())
 }
 
-// finish closes out one connection with driveOpenLoop's exact loss
-// accounting and streams the report to the sink.
+// finish closes out one connection's loss accounting and streams the
+// report to the sink.
 func (gl *genLoop) finish(gc *genConn) {
 	load := gl.g.PerConn
 	gc.done = true
@@ -417,5 +403,9 @@ func (gl *genLoop) finish(gc *genConn) {
 	// Requests never written because the conn died early count as lost
 	// too — the client accepted them into its send loop.
 	r.Lost += load.RequestsPerConn - gc.sent
-	gl.g.emit(r)
+	if gl.g.OnDone != nil {
+		gl.g.mu.Lock()
+		gl.g.OnDone(r)
+		gl.g.mu.Unlock()
+	}
 }
