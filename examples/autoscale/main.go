@@ -30,7 +30,6 @@ func newFleet() *fleet.Fleet {
 		Replicas:         2,
 		RequestSize:      32,
 		ResponseSize:     128,
-		Handoff:          true,
 		MaxConnsPerShard: 6,
 		AdmitRetries:     96,
 		AdmitBackoff:     time.Millisecond,

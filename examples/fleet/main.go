@@ -2,11 +2,12 @@
 // client streams behind the virtual load balancer; mid-run, one shard's
 // master replica is compromised and tampers with an unmonitored response.
 // The slave's IP-MON comparison catches the divergence, the supervisor
-// quarantines the shard — and, with live handoff enabled, freezes the
-// shard's in-flight connections, harvests their queued segments, and
-// replays the unacknowledged tail onto healthy successor shards, so
-// every client stream completes with zero lost requests while the
-// compromised shard's replica set is recycled and respawned.
+// quarantines the shard — and freezes the shard's in-flight
+// connections, harvests their queued segments, and replays the
+// unacknowledged tail onto healthy successor shards, so every client
+// stream completes with zero lost requests while the compromised
+// shard's replica set is recycled and respawned. Exits non-zero when a
+// request is lost or a connection cut.
 //
 //	go run ./examples/fleet
 package main
@@ -26,8 +27,6 @@ func main() {
 		Replicas:        2,
 		RequestSize:     64,
 		ResponseSize:    256,
-		Handoff:         true,
-		Routing:         fleet.RouteLeastLoaded,
 		LockstepTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -35,7 +34,7 @@ func main() {
 	}
 	defer f.Close()
 
-	fmt.Println("== fleet up: 4 ReMon shards behind", f.FrontAddr(), "(live handoff on) ==")
+	fmt.Println("== fleet up: 4 ReMon shards behind", f.FrontAddr(), "==")
 
 	// Closed-loop clients: conns connections of reqs round trips each.
 	reqSize, respSize := f.RequestShape()
@@ -58,7 +57,7 @@ func main() {
 	out := <-loadDone
 
 	perShard := map[int][2]int{} // shard -> {completed, errors}
-	unrouted := 0
+	unrouted, lost := 0, 0
 	for _, r := range out {
 		shard, _, ok := f.RouteOf(r.Addr)
 		if !ok {
@@ -69,6 +68,7 @@ func main() {
 		agg[0] += r.RespBytes / respSize
 		agg[1] += r.Lost
 		perShard[shard] = agg
+		lost += r.Lost
 	}
 	fmt.Println("\n-- per-shard client outcome --")
 	for i := 0; i < 4; i++ {
@@ -104,5 +104,8 @@ func main() {
 	}
 	if lats := f.HandoffLatencies(); len(lats) > 0 {
 		fmt.Printf("first handoff latency: %v (host time)\n", lats[0].Round(10*time.Microsecond))
+	}
+	if lost != 0 || st.Failovers != 0 {
+		log.Fatalf("zero-loss failover broken: %d requests lost, %d connections cut", lost, st.Failovers)
 	}
 }

@@ -17,7 +17,6 @@ func chaosFleet(t *testing.T, shards int) *fleet.Fleet {
 		Replicas:        2,
 		RequestSize:     32,
 		ResponseSize:    128,
-		Handoff:         true,
 		LockstepTimeout: 5 * time.Second,
 	})
 	if err != nil {

@@ -21,8 +21,7 @@ func TestGenZeroLossFlatGoroutines(t *testing.T) {
 }
 
 // TestGenKillEachShardHandoffFlatGoroutines: the same campaigns with
-// live handoff armed on the polled data plane and every shard killed
-// mid-campaign. Each kill freezes the victim's splices on their event
+// every shard killed mid-campaign. Each kill freezes the victim's splices on their event
 // loops and hands them off, so the run still loses nothing, cuts
 // nothing, and stays inside the same configuration pin.
 func TestGenKillEachShardHandoffFlatGoroutines(t *testing.T) {
@@ -44,7 +43,6 @@ func flatGoroutineCampaigns(t *testing.T, kill bool) {
 		RequestSize:     32,
 		ResponseSize:    respSize,
 		SpliceLoops:     splice,
-		Handoff:         kill,
 		DisableRouteLog: true,
 		LockstepTimeout: 10 * time.Second,
 	})

@@ -21,7 +21,6 @@ func surgeFleet(t *testing.T) *fleet.Fleet {
 		Replicas:         2,
 		RequestSize:      32,
 		ResponseSize:     128,
-		Handoff:          true,
 		MaxConnsPerShard: 6,
 		AdmitRetries:     96,
 		AdmitBackoff:     time.Millisecond,

@@ -53,9 +53,6 @@ func New(seg *mem.SharedSegment) *FileMap {
 	return &FileMap{seg: seg}
 }
 
-// Segment exposes the backing segment for mapping into replicas.
-func (m *FileMap) Segment() *mem.SharedSegment { return m.seg }
-
 // Set records descriptor fd's type and non-blocking flag.
 func (m *FileMap) Set(fd int, typ uint8, nonblock bool) {
 	if fd < 0 || fd >= MapSize {

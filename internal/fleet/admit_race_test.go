@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,8 +8,8 @@ import (
 )
 
 // TestPickShardAllocFree pins the admission fast path's whole claim: a
-// successful pick is a snapshot load plus a CAS — zero heap allocations
-// — under every routing policy.
+// successful pick is a snapshot load plus a CAS — zero heap
+// allocations.
 func TestPickShardAllocFree(t *testing.T) {
 	cfg := quickCfg(2)
 	f, err := New(cfg)
@@ -19,18 +18,15 @@ func TestPickShardAllocFree(t *testing.T) {
 	}
 	defer f.Close()
 
-	for _, routing := range []Routing{RouteRoundRobin, RouteAffinity, RouteLeastLoaded} {
-		f.cfg.Routing = routing
-		allocs := testing.AllocsPerRun(200, func() {
-			tgt, err := f.pickShard("client-alloc:1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			tgt.s.pendingDone()
-		})
-		if allocs != 0 {
-			t.Errorf("routing %v: pickShard fast path allocates %.1f/op, want 0", routing, allocs)
+	allocs := testing.AllocsPerRun(200, func() {
+		tgt, err := f.pickShard()
+		if err != nil {
+			t.Fatal(err)
 		}
+		tgt.s.pendingDone()
+	})
+	if allocs != 0 {
+		t.Errorf("pickShard fast path allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -117,13 +113,13 @@ func TestPickShardChurnNoStaleNoLeak(t *testing.T) {
 	// Pickers.
 	const pickers = 4
 	var pwg sync.WaitGroup
-	for p := 0; p < pickers; p++ {
+	for range pickers {
 		pwg.Add(1)
-		go func(p int) {
+		go func() {
 			defer pwg.Done()
-			for i := 0; !stop.Load(); i++ {
+			for !stop.Load() {
 				before := removed.Load()
-				tgt, err := f.pickShard(fmt.Sprintf("client-%d:%d", p, i))
+				tgt, err := f.pickShard()
 				if err != nil {
 					refusals.Add(1)
 					continue
@@ -138,7 +134,7 @@ func TestPickShardChurnNoStaleNoLeak(t *testing.T) {
 				picks.Add(1)
 				tgt.s.pendingDone()
 			}
-		}(p)
+		}()
 	}
 
 	time.Sleep(300 * time.Millisecond)

@@ -1,5 +1,5 @@
 // The balancer control plane: the accept loop, the admit workers and
-// the shard-pick policies. The data plane is vnet's SpliceSet — the
+// the round-robin shard pick. The data plane is vnet's SpliceSet — the
 // balancer never copies request bytes itself, and the splice event
 // loops carry virtual arrival stamps through untouched.
 //
@@ -76,7 +76,7 @@ func (f *Fleet) admitWorker() {
 // loop terminates.
 func (f *Fleet) admitOne(conn *vnet.Conn, at model.Duration) {
 	for {
-		tgt, err := f.pickShard(conn.RemoteAddr())
+		tgt, err := f.pickShard()
 		if err != nil {
 			f.refuse(conn, err)
 			return
@@ -92,11 +92,9 @@ func (f *Fleet) admitOne(conn *vnet.Conn, at model.Duration) {
 			return
 		}
 		sp := f.spliceSet.NewSplice(conn, back, f.onSpliceDone)
-		if f.cfg.Handoff {
-			// Retain requests until their responses are delivered, so a
-			// shard death replays rather than drops them.
-			sp.EnableHandoff(f.cfg.RequestSize, f.cfg.ResponseSize)
-		}
+		// Retain requests until their responses are delivered, so a
+		// shard leaving the pool hands them off rather than drops them.
+		sp.SetFraming(f.cfg.RequestSize, f.cfg.ResponseSize)
 		// Arm inside track's critical section, so a lifecycle sweep that
 		// takes the shard's splice set never sees an unarmed splice.
 		tgt.s.mu.Lock()
@@ -143,8 +141,8 @@ func (f *Fleet) refuse(conn *vnet.Conn, err error) {
 // pickShard chooses a Serving shard for a new client connection and
 // claims a pending slot on it so drains see the pick before its splice
 // is registered. The fast path is lock-free and allocation-free: load
-// the admission snapshot, select per the routing policy, CAS-claim the
-// shard's occupancy word, revalidate state+generation. A drain or
+// the admission snapshot, scan it round-robin, CAS-claim the shard's
+// occupancy word, revalidate state+generation. A drain or
 // quarantine may take the shard between the snapshot and the claim; the
 // revalidation rolls the lost claim back and the scan lands the
 // connection on another healthy shard instead of refusing it.
@@ -160,21 +158,12 @@ func (f *Fleet) refuse(conn *vnet.Conn, err error) {
 // out. The terminal error is typed: an *OverloadError (unwrapping to
 // ErrOverloaded, carrying the retry-after capacity hint) when
 // saturation was the last obstacle, ErrShardNotServing otherwise.
-func (f *Fleet) pickShard(clientAddr string) (backendTarget, error) {
+func (f *Fleet) pickShard() (backendTarget, error) {
 	sawSaturated := false
 	limit := f.cfg.MaxConnsPerShard
 	for attempt := 0; ; attempt++ {
 		if snap := f.serving.Load(); snap != nil && len(snap.targets) > 0 {
-			var tgt backendTarget
-			var ok, sat bool
-			switch f.cfg.Routing {
-			case RouteAffinity:
-				tgt, ok, sat = affinityClaim(snap.targets, clientAddr, limit)
-			case RouteLeastLoaded:
-				tgt, ok, sat = leastLoadedClaim(snap.targets, limit)
-			default:
-				tgt, ok, sat = f.roundRobinClaim(snap.targets, limit)
-			}
+			tgt, ok, sat := f.roundRobinClaim(snap.targets, limit)
 			if ok {
 				return tgt, nil
 			}
@@ -234,56 +223,6 @@ func (f *Fleet) roundRobinClaim(ts []backendTarget, limit int) (backendTarget, b
 	return backendTarget{}, false, anySat
 }
 
-// affinityClaim picks the best non-saturated rendezvous score and
-// claims it — single claim, like the lock-based picker: a lost claim
-// retries through the outer attempt loop so the affinity mapping stays
-// score-ordered rather than falling over to an arbitrary shard.
-func affinityClaim(ts []backendTarget, clientAddr string, limit int) (backendTarget, bool, bool) {
-	var best backendTarget
-	var bestScore uint64
-	found, anySat := false, false
-	for _, t := range ts {
-		v := t.s.occ.Load()
-		if limit > 0 && occConns(v)+occPending(v) >= limit {
-			anySat = true
-			continue
-		}
-		score := fnv1a(clientAddr, uint64(t.s.idx))
-		if !found || score > bestScore {
-			best, bestScore, found = t, score, true
-		}
-	}
-	if !found {
-		return backendTarget{}, false, anySat
-	}
-	ok, sat := claimTarget(best, limit)
-	return best, ok, anySat || sat
-}
-
-// leastLoadedClaim scores each candidate lock-free by its occupancy
-// word (tracked connections plus pending picks) and claims the minimum.
-func leastLoadedClaim(ts []backendTarget, limit int) (backendTarget, bool, bool) {
-	var best backendTarget
-	bestScore := 0
-	found, anySat := false, false
-	for _, t := range ts {
-		v := t.s.occ.Load()
-		score := occConns(v) + occPending(v)
-		if limit > 0 && score >= limit {
-			anySat = true
-			continue
-		}
-		if !found || score < bestScore {
-			best, bestScore, found = t, score, true
-		}
-	}
-	if !found {
-		return backendTarget{}, false, anySat
-	}
-	ok, sat := claimTarget(best, limit)
-	return best, ok, anySat || sat
-}
-
 // retryAfterHint derives the OverloadError's capacity hint from drain
 // progress: when a shard is mid-drain, its slots come back when the
 // grace expires (rotation or scale-down completes), so the soonest
@@ -327,24 +266,8 @@ func (f *Fleet) admitBackoff(attempt int, token uint64) time.Duration {
 	return time.Duration(float64(d) * (0.5 + j))
 }
 
-// rendezvousPick implements highest-random-weight hashing: each (client,
-// shard) pair scores via FNV-1a; the highest score wins. Removing one
-// shard from the pool only remaps that shard's clients — the consistent
-// affinity the quarantine path wants.
-func rendezvousPick(serving []*shard, clientAddr string) *shard {
-	var best *shard
-	var bestScore uint64
-	for _, s := range serving {
-		score := fnv1a(clientAddr, uint64(s.idx))
-		if best == nil || score > bestScore {
-			best, bestScore = s, score
-		}
-	}
-	return best
-}
-
-// fnv1a hashes addr plus a shard salt.
-func fnv1a(addr string, salt uint64) uint64 {
+// fnv1a hashes a client address: the route log's stripe index.
+func fnv1a(addr string) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -352,10 +275,6 @@ func fnv1a(addr string, salt uint64) uint64 {
 	h := uint64(offset)
 	for i := 0; i < len(addr); i++ {
 		h ^= uint64(addr[i])
-		h *= prime
-	}
-	for i := 0; i < 8; i++ {
-		h ^= (salt >> (8 * i)) & 0xFF
 		h *= prime
 	}
 	return h
@@ -411,7 +330,7 @@ func (f *Fleet) recordRoute(clientAddr string, tgt backendTarget) {
 	if f.cfg.DisableRouteLog || f.routeCount.Load() >= 1<<20 {
 		return
 	}
-	st := &f.routes[fnv1a(clientAddr, 0)&63]
+	st := &f.routes[fnv1a(clientAddr)&63]
 	st.mu.Lock()
 	if _, ok := st.m[clientAddr]; !ok {
 		f.routeCount.Add(1)

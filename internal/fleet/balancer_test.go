@@ -40,7 +40,7 @@ func TestPickShardExhaustsOnTotalUnavailability(t *testing.T) {
 	goroutines := runtime.NumGoroutine()
 	waitsBefore := f.Stats().AdmitWaits
 	start := time.Now()
-	_, err = f.pickShard("client-1:5000")
+	_, err = f.pickShard()
 	elapsed := time.Since(start)
 
 	if !errors.Is(err, ErrShardNotServing) {
@@ -96,7 +96,7 @@ func TestPickShardSaturationReturnsOverloadError(t *testing.T) {
 		}
 	}()
 
-	_, err = f.pickShard("client-2:5000")
+	_, err = f.pickShard()
 	var oe *OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("want *OverloadError, got %v", err)
@@ -120,7 +120,7 @@ func TestPickShardSaturationReturnsOverloadError(t *testing.T) {
 		s0.state.Store(Serving)
 		s0.mu.Unlock()
 	}()
-	_, err = f.pickShard("client-3:5000")
+	_, err = f.pickShard()
 	if !errors.As(err, &oe) {
 		t.Fatalf("want *OverloadError, got %v", err)
 	}

@@ -14,11 +14,13 @@
 //	any ──────(Close, failed boot)──> Retired
 //
 // Every arrow out of a replica set runs one routine (lifecycle.go):
-// claim the shard, freeze or cut its connections, stop the replica set,
-// migrate the frozen connections, then respawn or leave a Retired
-// tombstone. A supervisor loop feeds it each shard monitor's divergence
-// verdict — self-healing without interrupting the other shards'
-// streams. The pool is elastic: AddShard grows it while serving and
+// claim the shard, freeze its connections, stop the replica set,
+// hand the frozen connections off to successor shards, then respawn or
+// leave a Retired tombstone. Live handoff is the only way a connection
+// leaves a shard; only a closing fleet, or a handoff no successor took
+// by its deadline, cuts one. A supervisor loop feeds the routine each
+// shard monitor's divergence verdict — self-healing without
+// interrupting the other shards' streams. The pool is elastic: AddShard grows it while serving and
 // RemoveShard shrinks it through the same drain and handoff a rolling
 // restart uses. Removal never compacts the slice — the Retired slot
 // keeps its index for routing, telemetry labels and the transition log,
@@ -92,7 +94,7 @@ const (
 	// ones allowed to finish within the drain grace.
 	Draining
 	// Quarantined: divergence verdict received; isolated from traffic,
-	// in-flight connections cut, replica set being torn down.
+	// in-flight connections handed off, replica set being torn down.
 	Quarantined
 	// Respawning: old replica set recycled; a fresh one is being built.
 	Respawning
@@ -139,21 +141,16 @@ func (s State) String() string {
 	return "?"
 }
 
-// Routing selects the balancer's shard-pick policy.
-type Routing int
-
-// Routing policies.
+// Fixed balancer parameters.
 const (
-	// RouteRoundRobin spreads new connections evenly over Serving shards.
-	RouteRoundRobin Routing = iota
-	// RouteAffinity maps a client address to a shard by rendezvous
-	// (highest-random-weight) hashing: the same client consistently
-	// reaches the same shard, and a shard's removal only moves that
-	// shard's clients.
-	RouteAffinity
-	// RouteLeastLoaded picks the shard with the fewest in-flight
-	// connections (tracked splices plus pending picks).
-	RouteLeastLoaded
+	// frontAddr is the balancer's address on the front network.
+	frontAddr = "fleet-lb:80"
+	// backendConnectWait bounds the balancer's wait for a shard's accept
+	// queue (host time), so a wedged backend fails fast.
+	backendConnectWait = 250 * time.Millisecond
+	// handoffDeadline bounds one shard's whole freeze+migrate episode
+	// (host time). Splices that miss it are cut, counted as Failovers.
+	handoffDeadline = 2 * time.Second
 )
 
 // Config parameterises a fleet.
@@ -174,17 +171,6 @@ type Config struct {
 	// operator re-relaxes it explicitly via SetShardPolicy once trusted
 	// again. Administrative drains (rolling restarts) keep Policy.
 	RespawnPolicy *policy.Level
-	// Routing is the balancer policy (default round-robin).
-	Routing Routing
-
-	// FrontAddr is the balancer's address on the front network
-	// (default "fleet-lb:80").
-	FrontAddr string
-	// FrontLink / BackLink are the client-to-balancer and
-	// balancer-to-shard link profiles (defaults: GigabitLocal front,
-	// Loopback back — the balancer sits next to the shards).
-	FrontLink vnet.Link
-	BackLink  vnet.Link
 
 	// RequestSize / ResponseSize / ComputePerRequest shape the shard
 	// server protocol (defaults 64 / 256 / 2µs).
@@ -201,23 +187,9 @@ type Config struct {
 	LockstepTimeout time.Duration
 
 	// DrainGrace bounds how long DrainShard waits for in-flight
-	// connections before cutting them (default 2s host time).
+	// connections before handing them off to other shards (default 2s
+	// host time).
 	DrainGrace time.Duration
-	// BackendConnectWait bounds the balancer's wait for a shard's accept
-	// queue (default 250ms host time) so a wedged backend fails fast.
-	BackendConnectWait time.Duration
-
-	// Handoff enables live connection migration: a quarantined or
-	// drain-expired shard's in-flight connections are frozen, their
-	// queued responses harvested, their unacknowledged requests replayed
-	// to a successor shard, and the front conns re-spliced mid-flight —
-	// instead of being cut. Default false: in-flight connections of a
-	// shard leaving the pool are cut.
-	Handoff bool
-	// HandoffDeadline bounds one shard's whole freeze+migrate episode
-	// (host time, default 2s). Splices that miss it degrade to the old
-	// cut-and-close, counted as Failovers.
-	HandoffDeadline time.Duration
 	// AdmitRetries is how many times the balancer re-attempts shard
 	// admission for one connection when no shard currently admits
 	// (Draining/Respawning gap, or a lost claim race) before refusing
@@ -259,15 +231,6 @@ func (c Config) withDefaults() Config {
 		lv := policy.BaseLevel
 		c.RespawnPolicy = &lv
 	}
-	if c.FrontAddr == "" {
-		c.FrontAddr = "fleet-lb:80"
-	}
-	if c.FrontLink == (vnet.Link{}) {
-		c.FrontLink = vnet.GigabitLocal
-	}
-	if c.BackLink == (vnet.Link{}) {
-		c.BackLink = vnet.Loopback
-	}
 	if c.RequestSize <= 0 {
 		c.RequestSize = 64
 	}
@@ -288,12 +251,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 2 * time.Second
-	}
-	if c.BackendConnectWait <= 0 {
-		c.BackendConnectWait = 250 * time.Millisecond
-	}
-	if c.HandoffDeadline <= 0 {
-		c.HandoffDeadline = 2 * time.Second
 	}
 	if c.AdmitRetries <= 0 {
 		c.AdmitRetries = 3
@@ -339,8 +296,9 @@ type Stats struct {
 	Shards       []ShardInfo
 	ConnsRouted  uint64
 	ConnsRefused uint64
-	// Failovers counts in-flight connections cut by quarantine or
-	// drain-expiry.
+	// Failovers counts in-flight connections cut: by a closing fleet,
+	// or because no successor shard took them over before the handoff
+	// deadline.
 	Failovers uint64
 	// Recoveries counts completed Quarantined->Serving cycles.
 	Recoveries int
@@ -517,7 +475,7 @@ func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	f := &Fleet{
 		cfg:          cfg,
-		frontNet:     vnet.New(cfg.FrontLink),
+		frontNet:     vnet.New(vnet.GigabitLocal),
 		verdicts:     make(chan verdictEvent, cfg.Shards*4),
 		stopCh:       make(chan struct{}),
 		routes:       make([]routeStripe, 64),
@@ -526,9 +484,9 @@ func New(cfg Config) (*Fleet, error) {
 	for i := range f.routes {
 		f.routes[i].m = map[string]routeEntry{}
 	}
-	lis, err := f.frontNet.Listen(cfg.FrontAddr, 1024)
+	lis, err := f.frontNet.Listen(frontAddr, 1024)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: binding balancer %s: %w", cfg.FrontAddr, err)
+		return nil, fmt.Errorf("fleet: binding balancer %s: %w", frontAddr, err)
 	}
 	f.lis = lis
 
@@ -558,7 +516,7 @@ func New(cfg Config) (*Fleet, error) {
 func (f *Fleet) FrontNetwork() *vnet.Network { return f.frontNet }
 
 // FrontAddr reports the balancer address.
-func (f *Fleet) FrontAddr() string { return f.cfg.FrontAddr }
+func (f *Fleet) FrontAddr() string { return frontAddr }
 
 // RequestShape reports the shard server protocol's request/response
 // sizes, so external load drivers can frame correctly.
@@ -626,8 +584,10 @@ func (f *Fleet) buildShard(s *shard) error {
 	if f.stopping.Load() {
 		return fmt.Errorf("fleet: closing")
 	}
-	net := vnet.New(f.cfg.BackLink)
-	net.SetConnectWait(f.cfg.BackendConnectWait)
+	// The balancer sits next to the shards: a loopback back link behind
+	// the gigabit front one.
+	net := vnet.New(vnet.Loopback)
+	net.SetConnectWait(backendConnectWait)
 	k := vkernel.New(net)
 	s.mu.Lock()
 	idx, gen, level := s.idx, int(s.gen.Load()), s.level
@@ -800,13 +760,13 @@ func (f *Fleet) AddShard() (int, error) {
 
 // RemoveShard retires a Serving shard from the pool — the scale-down
 // actuator. Admission routes around it immediately (Draining), in-flight
-// connections get DrainGrace to finish; with handoff armed the
-// stragglers migrate live onto the surviving shards, exactly as a
-// rolling restart's would — but instead of respawning, the replica set
-// is recycled and the slot becomes a Retired tombstone (index preserved;
-// AddShard revives it). Two refusals keep the pool sound: removing the
-// last Serving shard is rejected up front, and a divergence verdict that
-// claims the shard mid-drain preempts the removal — supervisor wins, the
+// connections get DrainGrace to finish; the stragglers migrate live
+// onto the surviving shards, exactly as a rolling restart's would —
+// but instead of respawning, the replica set is recycled and the slot
+// becomes a Retired tombstone (index preserved; AddShard revives it).
+// Two refusals keep the pool sound: removing the last Serving shard is
+// rejected up front, and a divergence verdict that claims the shard
+// mid-drain preempts the removal — supervisor wins, the
 // quarantine/respawn cycle runs instead, and RemoveShard reports the
 // preemption so the caller re-observes before trying again.
 func (f *Fleet) RemoveShard(idx int) error {
@@ -1018,7 +978,7 @@ func (f *Fleet) ShardState(idx int) (State, int) {
 // at connect time (Conn.LocalAddr on the client side). Always reports
 // not-found when Config.DisableRouteLog turned recording off.
 func (f *Fleet) RouteOf(clientAddr string) (shard, gen int, ok bool) {
-	st := &f.routes[fnv1a(clientAddr, 0)&63]
+	st := &f.routes[fnv1a(clientAddr)&63]
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	r, ok := st.m[clientAddr]

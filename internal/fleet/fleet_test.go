@@ -219,65 +219,6 @@ func TestFleetDrainRejectsBadShard(t *testing.T) {
 	}
 }
 
-// TestRendezvousAffinityConsistent checks the affinity math directly:
-// stable mapping, and removing one shard only remaps that shard's
-// clients.
-func TestRendezvousAffinityConsistent(t *testing.T) {
-	mk := func(idxs ...int) []*shard {
-		var out []*shard
-		for _, i := range idxs {
-			out = append(out, &shard{idx: i})
-		}
-		return out
-	}
-	all := mk(0, 1, 2, 3)
-	addrs := make([]string, 200)
-	assign := map[string]int{}
-	for i := range addrs {
-		addrs[i] = "ephemeral:" + itoa(40000+i)
-		s := rendezvousPick(all, addrs[i])
-		if s2 := rendezvousPick(all, addrs[i]); s2.idx != s.idx {
-			t.Fatal("affinity pick not deterministic")
-		}
-		assign[addrs[i]] = s.idx
-	}
-	// Spread: every shard gets a reasonable share.
-	counts := map[int]int{}
-	for _, v := range assign {
-		counts[v]++
-	}
-	for i := 0; i < 4; i++ {
-		if counts[i] == 0 {
-			t.Fatalf("shard %d got no clients: %v", i, counts)
-		}
-	}
-	// Remove shard 2: only shard 2's clients move.
-	without := mk(0, 1, 3)
-	for addr, prev := range assign {
-		now := rendezvousPick(without, addr).idx
-		if prev != 2 && now != prev {
-			t.Fatalf("client %s moved %d -> %d though its shard stayed", addr, prev, now)
-		}
-		if prev == 2 && now == 2 {
-			t.Fatal("client still mapped to removed shard")
-		}
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
-
 func TestFleetCloseIdempotent(t *testing.T) {
 	f, err := New(quickCfg(2))
 	if err != nil {

@@ -1,8 +1,8 @@
-// Live connection migration: the zero-loss half of the quarantine story.
-// When Config.Handoff is armed, a shard leaving the pool (divergence
-// quarantine, a drain whose grace expired, a scale-down) does not cut
-// its in-flight connections. Steps 2 and 4 of the lifecycle path
-// (lifecycle.go) carry them over instead:
+// Live connection migration: the zero-loss half of the quarantine
+// story, and the only way a connection leaves a shard. A shard leaving
+// the pool (divergence quarantine, a drain whose grace expired, a
+// scale-down) never cuts its in-flight connections; steps 2 and 4 of
+// the lifecycle path (lifecycle.go) carry them over instead:
 //
 //  1. the claim takes the shard's splice set in the same critical
 //     section as the state flip (admission re-routes every pick that
@@ -16,11 +16,11 @@
 //     shard with original arrival stamps, and re-splices the front conn
 //     mid-flight on the same event loop (vnet.Splice.Handoff).
 //
-// Graceful degradation: the whole episode runs against one host-time
-// deadline (Config.HandoffDeadline). A splice no successor admits is
-// retried until then and cut after, exactly as the Handoff=false path
-// would have cut it — bounded worst case, never a hang. A closing fleet
-// cuts at once.
+// The one cut path: the whole episode runs against one host-time
+// deadline (handoffDeadline). A splice no successor admits is retried
+// until then and cut after — bounded worst case, never a hang. A
+// closing fleet has no successor and cuts at once. Cuts count as
+// Stats.Failovers.
 package fleet
 
 import (
@@ -29,25 +29,25 @@ import (
 	"remon/internal/vnet"
 )
 
-// evacuate empties a claimed splice set. With freeze, each splice is
-// quiesced at a segment boundary for handoff (one that already finished
-// or was aborted has nothing in flight and is dropped); without it, or
-// past the deadline, the splice is cut so its client fails fast instead
-// of hanging on a dying replica set. Returns the frozen splices.
-func (f *Fleet) evacuate(splices map[*vnet.Splice]struct{}, freeze bool, deadline time.Time) []*vnet.Splice {
-	var frozen []*vnet.Splice
-	cut := 0
-	for sp := range splices {
-		if freeze && time.Now().Before(deadline) {
-			if sp.Freeze() {
-				frozen = append(frozen, sp)
-			}
-			continue
+// evacuate empties a claimed splice set: each splice is quiesced at a
+// segment boundary for handoff (one that already finished or was
+// aborted has nothing in flight and is dropped). A closing fleet cuts
+// instead, so its clients fail fast rather than hang on a dying replica
+// set. Returns the frozen splices.
+func (f *Fleet) evacuate(splices map[*vnet.Splice]struct{}) []*vnet.Splice {
+	if f.stopping.Load() {
+		for sp := range splices {
+			sp.Abort()
 		}
-		sp.Abort()
-		cut++
+		f.failover(len(splices))
+		return nil
 	}
-	f.failover(cut)
+	var frozen []*vnet.Splice
+	for sp := range splices {
+		if sp.Freeze() {
+			frozen = append(frozen, sp)
+		}
+	}
 	return frozen
 }
 
@@ -80,7 +80,7 @@ func (f *Fleet) migrateSplices(frozen []*vnet.Splice, start, deadline time.Time)
 			}
 			break
 		}
-		tgt, err := f.pickShard(sp.ClientAddr())
+		tgt, err := f.pickShard()
 		if err != nil {
 			left = append(left, sp)
 			continue
@@ -124,8 +124,8 @@ func (f *Fleet) migrateSplices(frozen []*vnet.Splice, start, deadline time.Time)
 	return left
 }
 
-// abortSplices cuts frozen splices that no migration pass could place —
-// the terminal degradation, same accounting as the Handoff=false path.
+// abortSplices cuts frozen splices that no migration pass could place
+// by the handoff deadline — the terminal degradation.
 func (f *Fleet) abortSplices(frozen []*vnet.Splice) {
 	for _, sp := range frozen {
 		sp.Abort()

@@ -70,9 +70,7 @@ func recvBytes(c *vnet.Conn, want int, timeout time.Duration) (int, error) {
 // requests on a shard that diverges completes every request — the
 // in-flight tail is harvested/replayed onto a successor instead of cut.
 func TestHandoffZeroLossOnQuarantine(t *testing.T) {
-	cfg := quickCfg(2)
-	cfg.Handoff = true
-	f, err := New(cfg)
+	f, err := New(quickCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +110,11 @@ func TestHandoffZeroLossOnQuarantine(t *testing.T) {
 	}
 }
 
-// TestHandoffDisabledCutsParity: with Handoff=false the same scenario
-// reproduces the PR 2 behaviour — the in-flight connection is cut, the
-// failover counter moves, and nothing is migrated.
+// TestHandoffDisabledCutsParity pins the one remaining cut path: a
+// closing fleet has no successor to hand a connection to, so a
+// connection with a request still in flight when the fleet closes is
+// cut — the failover counter moves, nothing is migrated, and the
+// client's next round trip gets nothing back.
 func TestHandoffDisabledCutsParity(t *testing.T) {
 	f, err := New(quickCfg(2))
 	if err != nil {
@@ -122,36 +122,26 @@ func TestHandoffDisabledCutsParity(t *testing.T) {
 	}
 	defer f.Close()
 
-	c, idx := pinConn(t, f)
+	c, _ := pinConn(t, f)
 	defer c.Close()
 
-	if err := f.InjectDivergence(idx); err != nil {
-		t.Fatal(err)
-	}
-	// Two requests: the first trips the compromised master (its tampered
-	// response may still be delivered before the verdict lands), the
-	// second is outstanding when the quarantine cuts the splice.
 	req := make([]byte, 32)
-	now, _ := c.Send(req, 0)
-	if _, err := c.Send(req, now); err != nil {
+	now, err := c.Send(req, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.WaitRecoveries(1, 30*time.Second) {
-		t.Fatal("recovery never completed")
-	}
-	// The master runs ahead of the slave's comparison, so both responses
-	// may have made it out before the verdict — drain whatever did.
-	recvBytes(c, 2*128, 2*time.Second)
-	// The quarantine cut the splice: a further request gets nothing back.
-	if _, err := c.Send(req, now); err != nil {
-		t.Fatal(err)
-	}
-	if got, rerr := recvBytes(c, 128, 2*time.Second); rerr == nil {
-		t.Fatalf("post-quarantine round trip completed (%d bytes); want a dead connection", got)
+	f.Close()
+	// The shard may have answered before the cut landed — drain
+	// whatever did.
+	recvBytes(c, 128, 200*time.Millisecond)
+	if _, err := c.Send(req, now); err == nil {
+		if got, rerr := recvBytes(c, 128, 2*time.Second); rerr == nil {
+			t.Fatalf("round trip after Close completed (%d bytes); want a dead connection", got)
+		}
 	}
 	st := f.Stats()
 	if st.Handoffs != 0 {
-		t.Fatalf("Handoff=false migrated %d connections", st.Handoffs)
+		t.Fatalf("a closing fleet migrated %d connections", st.Handoffs)
 	}
 	if st.Failovers == 0 {
 		t.Fatal("cut path recorded no failovers")
@@ -240,12 +230,10 @@ func TestOverloadShedding(t *testing.T) {
 	}
 }
 
-// TestRouteLeastLoadedSpreads: consecutive held connections land on
-// different shards under the least-loaded policy.
-func TestRouteLeastLoadedSpreads(t *testing.T) {
-	cfg := quickCfg(2)
-	cfg.Routing = RouteLeastLoaded
-	f, err := New(cfg)
+// TestRoundRobinSpreadsHeldConns: consecutive held connections land on
+// distinct shards.
+func TestRoundRobinSpreadsHeldConns(t *testing.T) {
+	f, err := New(quickCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +244,7 @@ func TestRouteLeastLoadedSpreads(t *testing.T) {
 	c2, idx2 := pinConn(t, f)
 	defer c2.Close()
 	if idx1 == idx2 {
-		t.Fatalf("least-loaded put both held connections on shard %d", idx1)
+		t.Fatalf("round-robin put both held connections on shard %d", idx1)
 	}
 }
 

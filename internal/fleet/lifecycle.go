@@ -6,11 +6,12 @@
 //
 //  1. claim: under s.mu, flip the state and detach the replica set and
 //     the in-flight splice set in one critical section (claimLocked);
-//  2. evacuate: freeze the splices for handoff, or cut them;
+//  2. evacuate: freeze the splices for handoff (a closing fleet cuts
+//     them);
 //  3. stop the replica set: Shutdown, wait for Run, recycle the RB
 //     segment (replicaSet.stop, which a failed boot also uses);
 //  4. migrate the frozen splices onto successors — one pass before the
-//     respawn, then retries until HandoffDeadline — and cut the rest;
+//     respawn, then retries until handoffDeadline — and cut the rest;
 //  5. boot the next generation through the one boot-to-Serving step
 //     (boot), or leave a Retired tombstone.
 package fleet
@@ -82,9 +83,9 @@ func (s *shard) claimLocked(to State) claim {
 func (f *Fleet) cycle(c claim, reason, serve string, level *policy.Level) error {
 	s := c.s
 	if n := len(c.splices); n > 0 {
-		verb := "cut"
-		if f.cfg.Handoff {
-			verb = "handed off"
+		verb := "handed off"
+		if f.stopping.Load() {
+			verb = "cut"
 		}
 		reason = fmt.Sprintf("%s, %d connections %s", reason, n, verb)
 	}
@@ -93,10 +94,9 @@ func (f *Fleet) cycle(c claim, reason, serve string, level *policy.Level) error 
 	}
 	// Evacuate before the stop: a response the shard emits while a
 	// splice is frozen still lands in the back conn's queue, and the
-	// handoff harvests it. A closing fleet has nowhere to migrate to: it
-	// cuts.
-	deadline := c.at.Add(f.cfg.HandoffDeadline)
-	frozen := f.evacuate(c.splices, f.cfg.Handoff && !f.stopping.Load(), deadline)
+	// handoff harvests it.
+	deadline := c.at.Add(handoffDeadline)
+	frozen := f.evacuate(c.splices)
 	c.rs.stop(reason)
 
 	var err error

@@ -8,7 +8,7 @@ import (
 	"remon/internal/mem"
 )
 
-// TestLifecycleWalkReleasesEverything walks one Handoff fleet through
+// TestLifecycleWalkReleasesEverything walks one fleet through
 // every way a replica set leaves a shard — a verdict respawn, a rolling
 // drain, a scale-down, a scale-up that revives the tombstone, Close —
 // and requires that nothing outlives Close: every RB segment the fleet
@@ -19,7 +19,6 @@ func TestLifecycleWalkReleasesEverything(t *testing.T) {
 	before := mem.ArenaSnapshot()
 
 	cfg := quickCfg(2)
-	cfg.Handoff = true
 	cfg.DrainGrace = 20 * time.Millisecond
 	f, err := New(cfg)
 	if err != nil {

@@ -106,25 +106,6 @@ type Rules struct {
 // per-class or per-fd refinement.
 func LevelRules(l Level) Rules { return Rules{Default: l} }
 
-// clone deep-copies r so installed snapshots cannot be mutated through
-// the caller's maps.
-func (r Rules) clone() Rules {
-	out := Rules{Default: r.Default}
-	if len(r.ByClass) > 0 {
-		out.ByClass = make(map[FDClass]Level, len(r.ByClass))
-		for k, v := range r.ByClass {
-			out.ByClass[k] = v
-		}
-	}
-	if len(r.ByFD) > 0 {
-		out.ByFD = make(map[int]Level, len(r.ByFD))
-		for k, v := range r.ByFD {
-			out.ByFD[k] = v
-		}
-	}
-	return out
-}
-
 func validLevel(l Level) bool { return l >= LevelNone && l <= SocketRWLevel }
 
 // Validate rejects out-of-range levels, classes and descriptors before
@@ -158,7 +139,6 @@ func (r Rules) Validate() error {
 // touches is the snapshot itself.
 type Snapshot struct {
 	version uint32
-	rules   Rules // retained for introspection (already cloned)
 	def     Level
 	classLv [numFDClasses]int8 // -1 = no class rule
 	fdLv    [fdTableSize]int8  // -1 = no fd override
@@ -166,7 +146,7 @@ type Snapshot struct {
 }
 
 func compile(version uint32, r Rules) *Snapshot {
-	s := &Snapshot{version: version, rules: r, def: r.Default, max: r.Default}
+	s := &Snapshot{version: version, def: r.Default, max: r.Default}
 	for i := range s.classLv {
 		s.classLv[i] = -1
 	}
@@ -190,9 +170,6 @@ func compile(version uint32, r Rules) *Snapshot {
 
 // Version is the snapshot's install sequence number (1-based).
 func (s *Snapshot) Version() uint32 { return s.version }
-
-// Rules returns a copy of the rule set the snapshot was compiled from.
-func (s *Snapshot) Rules() Rules { return s.rules.clone() }
 
 // Default reports the snapshot's global default level.
 func (s *Snapshot) Default() Level { return s.def }
@@ -276,7 +253,7 @@ func (e *Engine) Install(rules Rules) (*Snapshot, error) {
 		return nil, err
 	}
 	e.mu.Lock()
-	s := compile(uint32(len(e.history)+1), rules.clone())
+	s := compile(uint32(len(e.history)+1), rules)
 	e.history = append(e.history, s)
 	if s.max > Level(e.maxEver.Load()) {
 		e.maxEver.Store(int32(s.max))

@@ -50,9 +50,6 @@ func NewExporter(net *vnet.Network, addr string, reg *Registry, health HealthSou
 	return e, nil
 }
 
-// Addr reports the exporter's bound address.
-func (e *Exporter) Addr() string { return e.lis.Addr() }
-
 // Close unbinds the exporter and waits for in-flight scrapes.
 func (e *Exporter) Close() {
 	e.lis.Close()

@@ -64,15 +64,8 @@ type Label struct {
 // strings.
 type Labels []Label
 
-// L builds a one-label set; chain with With.
+// L builds a one-label set.
 func L(key, value string) Labels { return Labels{{key, value}} }
-
-// With appends a label, returning a new set.
-func (ls Labels) With(key, value string) Labels {
-	out := make(Labels, 0, len(ls)+1)
-	out = append(out, ls...)
-	return append(out, Label{key, value})
-}
 
 // render formats the label set as {k="v",...}; empty set renders empty.
 func (ls Labels) render() string {
@@ -92,12 +85,6 @@ func (ls Labels) render() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// renderWith formats the label set plus one extra pair (the histogram
-// "le" path).
-func (ls Labels) renderWith(key, value string) string {
-	return append(append(Labels{}, ls...), Label{key, value}).render()
 }
 
 func escapeLabel(v string) string {

@@ -18,9 +18,12 @@ type spliceRig struct {
 	back   *Conn
 	server *Conn
 	sp     *Splice
+	done   chan struct{} // closed by the splice's onDone
 }
 
-func newSpliceRig(t *testing.T, handoff bool, reqSize, respSize int) *spliceRig {
+// newSpliceRig frames the splice for reqSize/respSize; zero sizes leave
+// it unframed.
+func newSpliceRig(t *testing.T, reqSize, respSize int) *spliceRig {
 	t.Helper()
 	n := New(Loopback)
 	lf, err := n.Listen("lb:80", 16)
@@ -50,10 +53,10 @@ func newSpliceRig(t *testing.T, handoff bool, reqSize, respSize int) *spliceRig 
 	ss := NewSpliceSet(1)
 	t.Cleanup(ss.Close)
 	r := &spliceRig{net: n, client: client, front: front, back: back, server: server}
-	r.sp = ss.NewSplice(front, back, nil)
-	if handoff {
-		r.sp.EnableHandoff(reqSize, respSize)
-	}
+	done, onDone := doneSignal()
+	r.done = done
+	r.sp = ss.NewSplice(front, back, onDone)
+	r.sp.SetFraming(reqSize, respSize)
 	ss.Start(r.sp)
 	return r
 }
@@ -80,27 +83,38 @@ func recvN(t *testing.T, c *Conn, n int) ([]byte, model.Duration) {
 }
 
 func TestHandoffSpliceForwardsLikePlain(t *testing.T) {
-	r := newSpliceRig(t, true, 4, 8)
+	r := newSpliceRig(t, 4, 8)
 	if _, err := r.client.Send([]byte("req1"), 0); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := recvN(t, r.server, 4)
+	got, reqAt := recvN(t, r.server, 4)
 	if string(got) != "req1" {
 		t.Fatalf("server got %q", got)
 	}
-	if _, err := r.server.Send([]byte("resp0001"), 0); err != nil {
+	// The link model's two hops and nothing more: client -> balancer,
+	// balancer -> server, each stamped by TransferTime.
+	if want := Loopback.TransferTime(Loopback.TransferTime(0, 4), 4); reqAt != want {
+		t.Fatalf("request arrived at %v, want %v", reqAt, want)
+	}
+	if _, err := r.server.Send([]byte("resp0001"), reqAt); err != nil {
 		t.Fatal(err)
 	}
-	resp, _ := recvN(t, r.client, 8)
+	resp, respAt := recvN(t, r.client, 8)
 	if string(resp) != "resp0001" {
 		t.Fatalf("client got %q", resp)
+	}
+	if want := Loopback.TransferTime(Loopback.TransferTime(reqAt, 8), 8); respAt != want {
+		t.Fatalf("response arrived at %v, want %v", respAt, want)
 	}
 	if out := r.sp.Outstanding(); out != 0 {
 		t.Fatalf("outstanding after acked round trip = %d, want 0", out)
 	}
+	if fwd, rev := r.sp.Transferred(); fwd != 4 || rev != 8 {
+		t.Fatalf("transferred = %d/%d, want 4/8", fwd, rev)
+	}
 	r.client.Close()
 	r.sp.Abort()
-	<-r.sp.Done()
+	<-r.done
 }
 
 // TestHandoffFreezeHarvestReplay is the core migration protocol test:
@@ -108,7 +122,7 @@ func TestHandoffSpliceForwardsLikePlain(t *testing.T) {
 // its request), the unanswered tail is replayed to the successor with
 // stamps preserved, and the splice resumes mid-flight.
 func TestHandoffFreezeHarvestReplay(t *testing.T) {
-	r := newSpliceRig(t, true, 4, 8)
+	r := newSpliceRig(t, 4, 8)
 	ls2, err := r.net.Listen("srv-b:1", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -188,18 +202,15 @@ func TestHandoffFreezeHarvestReplay(t *testing.T) {
 	if out := r.sp.Outstanding(); out != 4 {
 		t.Fatalf("outstanding = %d, want 4 (req4 unanswered)", out)
 	}
-	if rep := r.sp.Replayed(); rep != 4 {
-		t.Fatalf("Replayed() = %d, want 4", rep)
-	}
 	r.sp.Abort()
-	<-r.sp.Done()
+	<-r.done
 }
 
 // TestHandoffBackDeathParksInsteadOfEOF: the response direction must not
 // propagate a dead backend's FIN to a client that is still owed
 // responses — it parks until a handoff supplies a successor.
 func TestHandoffBackDeathParksInsteadOfEOF(t *testing.T) {
-	r := newSpliceRig(t, true, 4, 8)
+	r := newSpliceRig(t, 4, 8)
 	ls2, err := r.net.Listen("srv-b:1", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -238,14 +249,14 @@ func TestHandoffBackDeathParksInsteadOfEOF(t *testing.T) {
 		t.Fatalf("client got %q", resp)
 	}
 	r.sp.Abort()
-	<-r.sp.Done()
+	<-r.done
 }
 
 // TestHandoffCleanFINStillPropagates: a backend FIN after the client's
 // own FIN is ordinary teardown, not death — it must flow through so
 // connections can close normally.
 func TestHandoffCleanFINPropagates(t *testing.T) {
-	r := newSpliceRig(t, true, 4, 8)
+	r := newSpliceRig(t, 4, 8)
 	r.client.Send([]byte("req1"), 0)
 	recvN(t, r.server, 4)
 	r.server.Send([]byte("resp0001"), 10)
@@ -273,23 +284,22 @@ func TestHandoffCleanFINPropagates(t *testing.T) {
 		}
 		t.Fatalf("client read = %d, %v", n, err)
 	}
-	<-r.sp.Done()
+	<-r.done
 }
 
-// TestSpliceTeardownRace (satellite): concurrent Abort vs in-flight
-// sends, for both splice flavours, under -race. No double-close panic,
+// TestSpliceTeardownRace: concurrent Abort vs in-flight sends, on an
+// unframed ("plain") and a framed ("handoff") splice, under -race. No double-close panic,
 // and once the cut settles the backend observes a terminal stream: it
 // may drain segments already queued, but after the first terminal read
 // nothing is ever delivered again.
 func TestSpliceTeardownRace(t *testing.T) {
-	for _, handoff := range []bool{false, true} {
-		name := "plain"
-		if handoff {
-			name = "handoff"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		reqSize, respSize int
+	}{{"plain", 0, 0}, {"handoff", 4, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
 			for iter := 0; iter < 50; iter++ {
-				r := newSpliceRig(t, handoff, 4, 8)
+				r := newSpliceRig(t, tc.reqSize, tc.respSize)
 				var wg sync.WaitGroup
 				wg.Add(2)
 				// Client hammers sends while the splice is cut under it.
@@ -310,7 +320,7 @@ func TestSpliceTeardownRace(t *testing.T) {
 					r.sp.Abort() // idempotent: second cut must be a no-op
 				}()
 				wg.Wait()
-				<-r.sp.Done()
+				<-r.done
 
 				// Drain the backend: queued segments may arrive, then the
 				// stream must be terminal — and stay terminal.
@@ -344,7 +354,7 @@ func TestSpliceTeardownRace(t *testing.T) {
 // leave a frozen direction unretired — Done always fires.
 func TestFreezeAbortRace(t *testing.T) {
 	for iter := 0; iter < 50; iter++ {
-		r := newSpliceRig(t, true, 4, 8)
+		r := newSpliceRig(t, 4, 8)
 		r.client.Send([]byte("req1"), 0)
 		var wg sync.WaitGroup
 		wg.Add(2)
@@ -358,7 +368,7 @@ func TestFreezeAbortRace(t *testing.T) {
 		}()
 		wg.Wait()
 		select {
-		case <-r.sp.Done():
+		case <-r.done:
 		case <-time.After(5 * time.Second):
 			t.Fatal("splice never finished after freeze/abort race")
 		}

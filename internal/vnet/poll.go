@@ -113,7 +113,7 @@ func (p *Poller) AddConn(c *Conn, key uint64) error {
 		return ErrPollerConflict
 	}
 	q.watch = reg
-	readable := len(q.segs) > 0 || q.closed || q.reset
+	readable := q.queued() > 0 || q.closed || q.reset
 	q.mu.Unlock()
 	if readable {
 		reg.notify()

@@ -6,28 +6,27 @@
 // through unchanged, so end-to-end virtual time stays exact: the client is
 // charged both hops' link costs and nothing else.
 //
-// Every splice is driven by a SpliceSet event loop (spliceset.go). A
-// splice armed with EnableHandoff additionally supports live migration:
-// it retains every forwarded request segment until the matching response
-// has been delivered (the FIFO request/response ack protocol), can be
-// Frozen at a segment boundary, and Handoff re-splices the front conn
-// onto a successor backend — harvesting responses still queued at the
-// dead backend, replaying the unacked request tail with original arrival
-// stamps, and resuming mid-flight. Zero-loss shard failover is built on
-// exactly this.
+// Every splice is driven by a SpliceSet event loop (spliceset.go), and
+// every splice supports live migration. A splice framed for a
+// request/response protocol (SetFraming) retains each forwarded request
+// segment until the matching response has been delivered (the FIFO
+// request/response ack protocol), can be Frozen at a segment boundary,
+// and Handoff re-splices the front conn onto a successor backend —
+// harvesting responses still queued at the dead backend, replaying the
+// unacked request tail with original arrival stamps, and resuming
+// mid-flight. Zero-loss shard failover is built on exactly this. A
+// splice with no framing retains nothing and refuses Freeze.
 //
 // On an event loop, freezing a direction just means not draining it: the
-// loop handles a retaining splice's segments one at a time under the
-// splice's lock, and a frozen direction returns without reading, so its
-// data stays queued in the rx queue. Because the poller is
-// edge-triggered, whatever resumes the splice (Unfreeze, Handoff) kicks
-// both directions.
+// loop handles a splice's segments one at a time under the splice's
+// lock, and a frozen direction returns without reading, so its data
+// stays queued in the rx queue. Because the poller is edge-triggered,
+// whatever resumes the splice (Unfreeze, Handoff) kicks both directions.
 package vnet
 
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"remon/internal/model"
 )
@@ -49,13 +48,26 @@ type retSeg struct {
 	arrive model.Duration
 }
 
-// handoffState is the migration half of a handoff-capable splice. mu
-// also serialises the event loop's per-segment steps for the splice, so
-// holding it means no segment is between the two conns.
-type handoffState struct {
-	reqSize, respSize int
+// Splice is one bidirectional forwarding session between two connections.
+type Splice struct {
+	a *Conn // front (fixed for the splice's lifetime)
 
+	loop   *spliceLoop
+	keyFwd uint64 // poller key of a -> b; keyFwd+1 is b -> a
+	// onDone runs on the event loop once both directions have finished.
+	onDone func(*Splice)
+	// reqSize/respSize frame the request/response protocol the retention
+	// trim follows: one complete response acknowledges one request's
+	// bytes. Zero (unframed) retains nothing and refuses Freeze.
+	reqSize, respSize int32
+
+	// mu serialises the event loop's per-segment steps with Freeze,
+	// Handoff and Abort: holding it means no segment is between the two
+	// conns. Everything below is guarded by it.
 	mu sync.Mutex
+	b  *Conn // back (swapped by Handoff)
+	// aborted: Abort (or a reset) cut the splice.
+	aborted bool
 	// frozen stops the loop draining either direction; set by Freeze,
 	// cleared by Handoff/Unfreeze.
 	frozen bool
@@ -66,110 +78,103 @@ type handoffState struct {
 	// frontFIN records that the request direction saw the client's FIN —
 	// the signal that a subsequent back-side FIN is ordinary teardown.
 	frontFIN bool
+	dirsLeft int8 // directions not yet finished
 
-	// retained is the unacked request log (FIFO); ackedReq / respBytes
-	// are cumulative trim positions: every complete response releases
-	// one request's worth of retained bytes.
-	retained      []retSeg
-	retainedBytes int
-	respBytes     uint64
-	ackedReq      uint64
-	replayed      uint64
-	lastStamp     model.Duration
+	// retained is the unacked request log (FIFO), backed by the inline
+	// retBuf until more than two segments are outstanding; ackedReq /
+	// respBytes are cumulative trim positions: every complete response
+	// releases one request's worth of retained bytes. A framed splice
+	// retains everything it forwards, so fwdBytes - ackedReq is the
+	// retained byte count. (The fields are sized so a Splice fits one
+	// 192-byte allocation.)
+	retained  []retSeg
+	retBuf    [2]retSeg
+	respBytes uint64
+	ackedReq  uint64
+	lastStamp model.Duration
+
+	fwdBytes uint64 // a -> b
+	revBytes uint64 // b -> a
 }
 
-// Splice is one bidirectional forwarding session between two connections.
-type Splice struct {
-	a *Conn // front (fixed for the splice's lifetime)
-	b *Conn // back (swapped by Handoff, under h.mu)
-
-	loop   *spliceLoop
-	keyFwd uint64 // poller key of a -> b; keyFwd+1 is b -> a
-	// onDone runs on the event loop once both directions have finished,
-	// just before Done is closed.
-	onDone func(*Splice)
-
-	done     chan struct{}
-	closing  sync.Once
-	aborted  atomic.Bool
-	dirsLeft atomic.Int32 // directions not yet finished
-
-	fwdBytes atomic.Uint64 // a -> b
-	revBytes atomic.Uint64 // b -> a
-
-	h *handoffState // nil unless EnableHandoff armed the protocol
+// SetFraming frames an inert splice (call between SpliceSet.NewSplice
+// and Start) for a reqSize/respSize request/response protocol, which
+// arms request retention and with it Freeze and Handoff.
+func (s *Splice) SetFraming(reqSize, respSize int) {
+	s.reqSize, s.respSize = int32(reqSize), int32(respSize)
 }
 
-// EnableHandoff arms the live-migration protocol on an inert splice (call
-// between SpliceSet.NewSplice and Start) for a reqSize/respSize framed
-// request/response protocol — the retention trim rule: one complete
-// response acknowledges one request's bytes.
-func (s *Splice) EnableHandoff(reqSize, respSize int) {
-	s.h = &handoffState{reqSize: reqSize, respSize: respSize}
+func (s *Splice) framed() bool { return s.reqSize > 0 && s.respSize > 0 }
+
+// forwardLocked accounts one segment the loop just delivered: the
+// request direction retains it for replay, the response direction acks.
+// s.mu must be held.
+func (s *Splice) forwardLocked(data []byte, arrive model.Duration, rev bool) {
+	s.lastStamp = max(s.lastStamp, arrive)
+	if rev {
+		s.revBytes += uint64(len(data))
+		s.ackLocked(len(data))
+		return
+	}
+	s.fwdBytes += uint64(len(data))
+	if s.framed() {
+		s.retained = append(s.retained, retSeg{data: data, arrive: arrive})
+	}
 }
 
 // ackLocked accounts n delivered response bytes and trims the acked
 // prefix of the retained request log: every complete response releases
 // reqSize retained bytes (the FIFO request/response protocol the shard
-// servers run). h.mu must be held.
-func (h *handoffState) ackLocked(n int) {
-	h.respBytes += uint64(n)
-	if h.respSize <= 0 || h.reqSize <= 0 {
+// servers run). The log's storage is reused, so a splice that never has
+// more than two requests outstanding retains without allocating. s.mu
+// must be held.
+func (s *Splice) ackLocked(n int) {
+	s.respBytes += uint64(n)
+	if !s.framed() {
 		return
 	}
-	target := h.respBytes / uint64(h.respSize) * uint64(h.reqSize)
-	for h.ackedReq < target && len(h.retained) > 0 {
-		seg := &h.retained[0]
-		take := uint64(len(seg.data))
-		if h.ackedReq+take > target {
-			take = target - h.ackedReq
-			seg.data = seg.data[take:]
-			h.ackedReq += take
-			h.retainedBytes -= int(take)
+	target := s.respBytes / uint64(s.respSize) * uint64(s.reqSize)
+	done := 0
+	for s.ackedReq < target && done < len(s.retained) {
+		seg := &s.retained[done]
+		take := min(uint64(len(seg.data)), target-s.ackedReq)
+		seg.data = seg.data[take:]
+		s.ackedReq += take
+		if len(seg.data) > 0 {
 			break
 		}
-		h.ackedReq += take
-		h.retainedBytes -= int(take)
-		h.retained[0] = retSeg{}
-		h.retained = h.retained[1:]
+		done++
 	}
-	if len(h.retained) == 0 {
-		h.retained = nil
+	if done > 0 {
+		k := copy(s.retained, s.retained[done:])
+		clear(s.retained[k:])
+		s.retained = s.retained[:k]
 	}
 }
 
-// Freeze quiesces a handoff-capable splice at a segment boundary: the
-// owning loop forwards each segment under h.mu, so once Freeze holds it
-// no segment is in flight between the two conns, and every later step
-// sees the flag and leaves its data queued. The retained/ack accounting
-// is stable from then on. Reports false — nothing to migrate — when the
-// splice is not handoff-capable, was aborted, or has already finished
-// both directions. On success the splice stays frozen until Handoff or
-// Unfreeze.
+// Freeze quiesces a framed splice at a segment boundary: the owning loop
+// forwards each segment under s.mu, so once Freeze holds it no segment
+// is in flight between the two conns, and every later step sees the flag
+// and leaves its data queued. The retained/ack accounting is stable from
+// then on. Reports false — nothing to migrate — when the splice is
+// unframed, was aborted, or has already finished both directions. On
+// success the splice stays frozen until Handoff or Unfreeze.
 func (s *Splice) Freeze() bool {
-	h := s.h
-	if h == nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.framed() || s.aborted || s.dirsLeft == 0 {
 		return false
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if s.aborted.Load() || s.dirsLeft.Load() == 0 {
-		return false
-	}
-	h.frozen = true
+	s.frozen = true
 	return true
 }
 
 // Unfreeze resumes a frozen splice in place (no backend swap).
 func (s *Splice) Unfreeze() {
-	h := s.h
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	h.frozen = false
+	s.mu.Lock()
+	s.frozen = false
 	b := s.b
-	h.mu.Unlock()
+	s.mu.Unlock()
 	s.a.rx.kick()
 	b.rx.kick()
 }
@@ -196,16 +201,12 @@ func (s *Splice) Unfreeze() {
 // harvest would be lost while its request double-executes on the
 // successor. Returns harvested/replayed byte counts.
 func (s *Splice) Handoff(newBack *Conn) (harvested, replayed int, err error) {
-	h := s.h
-	if h == nil {
-		return 0, 0, ErrNotFrozen
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if s.aborted.Load() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.aborted {
 		return 0, 0, ErrSpliceAborted
 	}
-	if !h.frozen {
+	if !s.frozen {
 		return 0, 0, ErrNotFrozen
 	}
 	if err := s.loop.p.AddConn(newBack, s.keyFwd+1); err != nil {
@@ -217,25 +218,21 @@ func (s *Splice) Handoff(newBack *Conn) (harvested, replayed int, err error) {
 	s.loop.p.RemoveConn(old)
 	defer old.Close()
 	s.b = newBack
-	h.backDead = false
+	s.backDead = false
 
 	for {
 		data, arrive, rerr := old.rx.popSeg(false)
 		if rerr != nil || data == nil {
 			break
 		}
-		if arrive > h.lastStamp {
-			h.lastStamp = arrive
-		}
-		s.revBytes.Add(uint64(len(data)))
 		if _, serr := s.a.SendSeg(data, arrive); serr != nil {
 			return harvested, 0, serr
 		}
+		s.forwardLocked(data, arrive, true)
 		harvested += len(data)
-		h.ackLocked(len(data))
 	}
 
-	for _, seg := range h.retained {
+	for _, seg := range s.retained {
 		if len(seg.data) == 0 {
 			continue
 		}
@@ -243,13 +240,12 @@ func (s *Splice) Handoff(newBack *Conn) (harvested, replayed int, err error) {
 			return harvested, replayed, serr
 		}
 		replayed += len(seg.data)
-		h.replayed += uint64(len(seg.data))
 	}
-	if h.frontFIN {
+	if s.frontFIN {
 		newBack.CloseWrite()
 	}
 
-	h.frozen = false
+	s.frozen = false
 	s.a.rx.kick()
 	newBack.rx.kick()
 	return harvested, replayed, nil
@@ -257,66 +253,50 @@ func (s *Splice) Handoff(newBack *Conn) (harvested, replayed int, err error) {
 
 // Abort force-closes both sides; in-flight data already queued at either
 // receiver still drains. Safe to call from any goroutine, any number of
-// times — the supervisor uses it to cut a quarantined shard's
-// connections (and as the degradation path when a handoff fails). The
-// close events wake the loop, which retires both directions (frozen or
-// parked ones too), so Done still fires.
+// times — the supervisor uses it to cut a connection no successor took
+// over. The close events wake the loop, which retires both directions
+// (frozen or parked ones too), so onDone still fires.
 func (s *Splice) Abort() {
-	s.closing.Do(func() {
-		s.aborted.Store(true)
-		b := s.b
-		if h := s.h; h != nil {
-			h.mu.Lock()
-			b = s.b
-			h.mu.Unlock()
-		}
-		s.a.Close()
-		b.Close()
-	})
+	s.mu.Lock()
+	if s.aborted {
+		s.mu.Unlock()
+		return
+	}
+	s.aborted = true
+	b := s.b
+	s.mu.Unlock()
+	s.a.Close()
+	b.Close()
 }
-
-// Done is closed once both directions have terminated.
-func (s *Splice) Done() <-chan struct{} { return s.done }
 
 // Transferred reports total forwarded bytes (front->back, back->front).
 func (s *Splice) Transferred() (fwd, rev uint64) {
-	return s.fwdBytes.Load(), s.revBytes.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fwdBytes, s.revBytes
 }
 
 // ClientAddr reports the far address of the front conn — the client's
-// ephemeral endpoint, the key affinity routing re-pins a handoff with.
+// ephemeral endpoint, the key the route log re-points a handoff with.
 func (s *Splice) ClientAddr() string { return s.a.RemoteAddr() }
 
 // LastStamp reports the latest virtual arrival stamp the splice has
 // forwarded in either direction; handoff uses it as the successor
 // connection's virtual establishment time so the migrated stream's
-// timeline stays continuous. Zero on splices without handoff.
+// timeline stays continuous.
 func (s *Splice) LastStamp() model.Duration {
-	if s.h == nil {
-		return 0
-	}
-	s.h.mu.Lock()
-	defer s.h.mu.Unlock()
-	return s.h.lastStamp
-}
-
-// Replayed reports total request bytes re-sent across all handoffs.
-func (s *Splice) Replayed() uint64 {
-	if s.h == nil {
-		return 0
-	}
-	s.h.mu.Lock()
-	defer s.h.mu.Unlock()
-	return s.h.replayed
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastStamp
 }
 
 // Outstanding reports retained request bytes not yet acknowledged by a
 // complete response — the replay set a handoff would re-send right now.
 func (s *Splice) Outstanding() int {
-	if s.h == nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.framed() {
 		return 0
 	}
-	s.h.mu.Lock()
-	defer s.h.mu.Unlock()
-	return s.h.retainedBytes
+	return int(s.fwdBytes - s.ackedReq)
 }

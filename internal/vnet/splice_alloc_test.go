@@ -84,8 +84,16 @@ func TestSegForwardingAliasesPayload(t *testing.T) {
 }
 
 // TestSpliceZeroAllocSteadyState pins the forwarder's steady-state
-// allocation count at zero: once the rx queues are warm, RecvSeg +
-// SendSeg move a segment between connections without allocating.
+// allocation count at zero, on two inputs:
+//
+//   - the bare segment path: once the rx queues are warm, RecvSeg +
+//     SendSeg move a segment between connections without allocating;
+//   - a framed splice on a one-loop SpliceSet, driven through
+//     request/response round trips with at most two requests
+//     outstanding: the event loop's per-segment step, the retained
+//     request log (its two inline slots are reused once acked) and the
+//     ack trim allocate nothing per round trip. This is the allocation
+//     budget of every balancer connection.
 func TestSpliceZeroAllocSteadyState(t *testing.T) {
 	_, fconn, bconn, server := spliceEndpoints(t)
 
@@ -113,5 +121,46 @@ func TestSpliceZeroAllocSteadyState(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, forward); allocs != 0 {
 		t.Fatalf("splice forwarding path allocates %.1f per segment; want 0", allocs)
+	}
+
+	client, fconn, bconn, server := spliceEndpoints(t)
+	ss := NewSpliceSet(1)
+	defer ss.Close()
+	sp := ss.NewSplice(fconn, bconn, nil)
+	sp.SetFraming(64, 256)
+	ss.Start(sp)
+	req, resp := make([]byte, 64), make([]byte, 256)
+	recv := func(c *Conn) model.Duration {
+		data, at, err := c.RecvSeg(true)
+		if err != nil || data == nil {
+			t.Fatalf("recv = %d bytes, %v", len(data), err)
+		}
+		return at
+	}
+	roundTrips := func() {
+		// SendSeg, not Send: the client's defensive copy is the
+		// client's cost, not the splice's.
+		for i := 0; i < 2; i++ {
+			if _, err := client.SendSeg(req, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := server.SendSeg(resp, recv(server)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			now = recv(client)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		roundTrips()
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrips); allocs != 0 {
+		t.Fatalf("framed splice allocates %.2f per two round trips; want 0", allocs)
+	}
+	if out := sp.Outstanding(); out != 0 {
+		t.Fatalf("outstanding after every response = %d, want 0", out)
 	}
 }

@@ -3,8 +3,9 @@
 // connections, the balancer-side half of the million-connection engine.
 // Forwarding is zero-copy segment transfer with arrival stamps
 // preserved, EOF propagates as a one-way FIN, and a reset or
-// send-failure aborts both sides. Splices armed with EnableHandoff run
-// the retained-request protocol (splice.go) on the same loops.
+// send-failure aborts both sides. One per-segment step carries every
+// splice, and framed splices retain requests in it for the handoff
+// protocol (splice.go).
 package vnet
 
 import (
@@ -48,7 +49,7 @@ func NewSpliceSet(loops int) *SpliceSet {
 // Splice forwards between a and b on one of the set's event loops:
 // NewSplice followed immediately by Start. Use the two-step form when
 // bookkeeping must see the splice before its first event (and therefore
-// before onDone) can fire, or to EnableHandoff.
+// before onDone) can fire, or to SetFraming.
 func (ss *SpliceSet) Splice(a, b *Conn, onDone func(*Splice)) *Splice {
 	s := ss.NewSplice(a, b, onDone)
 	ss.Start(s)
@@ -61,10 +62,10 @@ func (ss *SpliceSet) Splice(a, b *Conn, onDone func(*Splice)) *Splice {
 // unregistered with any poller (fresh Connect/Accept endpoints are).
 // The splice owns both connections from Start on: when either side
 // resets, both are closed. onDone, if non-nil, runs on the event loop
-// once both directions have terminated, just before Done() is closed.
+// once both directions have terminated.
 func (ss *SpliceSet) NewSplice(a, b *Conn, onDone func(*Splice)) *Splice {
-	s := &Splice{a: a, b: b, onDone: onDone, done: make(chan struct{})}
-	s.dirsLeft.Store(2)
+	s := &Splice{a: a, b: b, onDone: onDone, dirsLeft: 2}
+	s.retained = s.retBuf[:0]
 	lp := ss.loops[int(ss.next.Add(1)-1)%len(ss.loops)]
 	s.loop = lp
 	lp.mu.Lock()
@@ -131,7 +132,12 @@ func (lp *spliceLoop) run(ss *SpliceSet) {
 
 // handle drains one direction to ErrWouldBlock — the edge-triggered
 // consumer contract. Stale events for finished directions miss the map
-// and fall through.
+// and fall through. Each segment step runs under s.mu — Freeze's
+// acknowledgement — and re-resolves the endpoints (Handoff swaps the
+// back conn). A frozen direction (or, response-side, one whose back
+// conn died awaiting a successor) returns without draining. The last
+// direction's retirement is counted under s.mu too, so Freeze never
+// freezes a splice that has already finished.
 func (lp *spliceLoop) handle(key uint64) {
 	lp.mu.Lock()
 	s := lp.dirs[key]
@@ -140,52 +146,10 @@ func (lp *spliceLoop) handle(key uint64) {
 		return
 	}
 	rev := key&1 == 1
-	if s.h != nil {
-		lp.handleRetained(s, key, rev)
-		return
-	}
-	src, dst, counter := s.a, s.b, &s.fwdBytes
-	if rev {
-		src, dst, counter = s.b, s.a, &s.revBytes
-	}
 	for {
-		data, arrive, err := src.RecvSeg(false)
-		switch {
-		case err == ErrWouldBlock:
-			return
-		case err != nil:
-			s.Abort()
-			lp.retire(s, key, src, s.dirsLeft.Add(-1) == 0)
-			return
-		case data == nil: // FIN
-			dst.CloseWrite()
-			lp.retire(s, key, src, s.dirsLeft.Add(-1) == 0)
-			return
-		}
-		counter.Add(uint64(len(data)))
-		if _, err := dst.SendSeg(data, arrive); err != nil {
-			s.Abort()
-			lp.retire(s, key, src, s.dirsLeft.Add(-1) == 0)
-			return
-		}
-	}
-}
-
-// handleRetained is handle for a handoff-capable splice. Each segment
-// step runs under h.mu — Freeze's acknowledgement — and differs from the
-// plain step in four ways: endpoints are re-resolved every step (Handoff
-// swaps the back conn), a frozen direction (or, response-side, one whose
-// back conn died awaiting a successor) returns without draining, the
-// request direction logs every forwarded segment into the retained/ack
-// protocol, and the response direction acks what it delivers. The last
-// direction's retirement is counted under h.mu too, so Freeze never
-// freezes a splice that has already finished.
-func (lp *spliceLoop) handleRetained(s *Splice, key uint64, rev bool) {
-	h := s.h
-	for {
-		h.mu.Lock()
-		if !s.aborted.Load() && (h.frozen || rev && h.backDead) {
-			h.mu.Unlock()
+		s.mu.Lock()
+		if !s.aborted && (s.frozen || rev && s.backDead) {
+			s.mu.Unlock()
 			return // parked: data stays queued until a kick resumes it
 		}
 		src, dst := s.a, s.b
@@ -194,48 +158,43 @@ func (lp *spliceLoop) handleRetained(s *Splice, key uint64, rev bool) {
 		}
 		data, arrive, err := src.RecvSeg(false)
 		if err == ErrWouldBlock {
-			h.mu.Unlock()
+			s.mu.Unlock()
 			return
 		}
 		if err == nil && data != nil {
-			if arrive > h.lastStamp {
-				h.lastStamp = arrive
-			}
 			if _, err = dst.SendSeg(data, arrive); err == nil {
-				if rev {
-					h.ackLocked(len(data))
-					s.revBytes.Add(uint64(len(data)))
-				} else {
-					h.retained = append(h.retained, retSeg{data: data, arrive: arrive})
-					h.retainedBytes += len(data)
-					s.fwdBytes.Add(uint64(len(data)))
-				}
-				h.mu.Unlock()
+				s.forwardLocked(data, arrive, rev)
+				s.mu.Unlock()
 				continue
 			}
-		} else if rev && !s.aborted.Load() && !h.frontFIN {
+		} else if rev && s.framed() && !s.aborted && !s.frontFIN {
 			// The back conn hit EOF or reset before the client's FIN
 			// crossed: the backend died mid-conversation. Propagating it
 			// would cut a client whose responses are still owed, so park
 			// until a Handoff (or Abort). A back-side FIN after the
 			// client's is ordinary teardown and flows through below.
-			h.backDead = true
-			h.mu.Unlock()
+			s.backDead = true
+			s.mu.Unlock()
 			return
 		}
-		fin := err == nil
-		if fin {
+		// A FIN propagates one way; a reset or send failure cuts both
+		// sides.
+		var cut *Conn
+		if err == nil {
 			if !rev {
-				h.frontFIN = true
+				s.frontFIN = true
 			}
 			dst.CloseWrite()
-		} else {
-			s.aborted.Store(true)
+		} else if !s.aborted {
+			s.aborted = true
+			cut = s.b
 		}
-		last := s.dirsLeft.Add(-1) == 0
-		h.mu.Unlock()
-		if !fin {
-			s.Abort()
+		s.dirsLeft--
+		last := s.dirsLeft == 0
+		s.mu.Unlock()
+		if cut != nil {
+			s.a.Close()
+			cut.Close()
 		}
 		lp.retire(s, key, src, last)
 		return
@@ -243,17 +202,13 @@ func (lp *spliceLoop) handleRetained(s *Splice, key uint64, rev bool) {
 }
 
 // retire removes one finished direction from the loop; last (the
-// splice's second retirement) runs the completion callback and then
-// closes Done, so a Done waiter sees the callback's effects.
+// splice's second retirement) runs the completion callback.
 func (lp *spliceLoop) retire(s *Splice, key uint64, src *Conn, last bool) {
 	lp.mu.Lock()
 	delete(lp.dirs, key)
 	lp.mu.Unlock()
 	lp.p.RemoveConn(src)
-	if last {
-		if s.onDone != nil {
-			s.onDone(s)
-		}
-		close(s.done)
+	if last && s.onDone != nil {
+		s.onDone(s)
 	}
 }

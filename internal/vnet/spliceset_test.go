@@ -2,7 +2,6 @@ package vnet
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -49,8 +48,8 @@ func TestSpliceSetForwardAndEOF(t *testing.T) {
 
 	ss := NewSpliceSet(2)
 	defer ss.Close()
-	var doneCb atomic.Bool
-	sp := ss.Splice(lbFront, lbBack, func(*Splice) { doneCb.Store(true) })
+	done, onDone := doneSignal()
+	sp := ss.Splice(lbFront, lbBack, onDone)
 
 	if _, err := client.Send([]byte("request"), 0); err != nil {
 		t.Fatal(err)
@@ -78,12 +77,9 @@ func TestSpliceSetForwardAndEOF(t *testing.T) {
 		t.Fatalf("client EOF = %v, %v", data, err)
 	}
 	select {
-	case <-sp.Done():
+	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("splice did not complete")
-	}
-	if !doneCb.Load() {
-		t.Fatal("onDone did not fire")
+		t.Fatal("splice did not complete: onDone never fired")
 	}
 	fwd, rev := sp.Transferred()
 	if fwd != 7 || rev != 9 {
@@ -105,11 +101,13 @@ func TestSpliceSetStartAfterBookkeeping(t *testing.T) {
 	}
 	client.CloseWrite()
 
-	var doneCb atomic.Bool
-	sp := ss.NewSplice(lbFront, lbBack, func(*Splice) { doneCb.Store(true) })
+	done, onDone := doneSignal()
+	sp := ss.NewSplice(lbFront, lbBack, onDone)
 	time.Sleep(5 * time.Millisecond)
-	if doneCb.Load() {
+	select {
+	case <-done:
 		t.Fatal("onDone fired before Start")
+	default:
 	}
 	if _, _, err := server.RecvSeg(false); err != ErrWouldBlock {
 		t.Fatalf("data forwarded before Start: %v", err)
@@ -126,12 +124,9 @@ func TestSpliceSetStartAfterBookkeeping(t *testing.T) {
 	}
 	server.CloseWrite()
 	select {
-	case <-sp.Done():
+	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("splice did not complete")
-	}
-	if !doneCb.Load() {
-		t.Fatal("onDone did not fire after completion")
+		t.Fatal("splice did not complete: onDone never fired")
 	}
 }
 
@@ -141,13 +136,14 @@ func TestSpliceSetAbort(t *testing.T) {
 
 	ss := NewSpliceSet(1)
 	defer ss.Close()
-	sp := ss.Splice(lbFront, lbBack, nil)
+	done, onDone := doneSignal()
+	sp := ss.Splice(lbFront, lbBack, onDone)
 	if _, err := client.Send([]byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
 	sp.Abort()
 	select {
-	case <-sp.Done():
+	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("aborted splice did not complete")
 	}
@@ -165,7 +161,7 @@ func TestSpliceSetManyConnsZeroLoss(t *testing.T) {
 
 	clients := make([]*Conn, conns)
 	servers := make([]*Conn, conns)
-	splices := make([]*Splice, conns)
+	dones := make([]chan struct{}, conns)
 	for i := 0; i < conns; i++ {
 		c, _, err := n.Connect("lb:1", 0)
 		if err != nil {
@@ -184,7 +180,9 @@ func TestSpliceSetManyConnsZeroLoss(t *testing.T) {
 			t.Fatal(err)
 		}
 		clients[i], servers[i] = c, srv
-		splices[i] = ss.Splice(front, back, nil)
+		done, onDone := doneSignal()
+		dones[i] = done
+		ss.Splice(front, back, onDone)
 	}
 
 	// Echo servers driven by one poller loop of our own.
@@ -253,9 +251,9 @@ func TestSpliceSetManyConnsZeroLoss(t *testing.T) {
 	for _, c := range clients {
 		c.Close()
 	}
-	for i, sp := range splices {
+	for i, done := range dones {
 		select {
-		case <-sp.Done():
+		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("splice %d did not complete", i)
 		}
@@ -299,8 +297,8 @@ func TestSpliceSetGoroutineFootprint(t *testing.T) {
 // their rx queues; Unfreeze resumes in place; Handoff harvests the
 // queued response, replays the unanswered request, moves the response
 // direction's registration onto the successor and kicks the request
-// direction, whose queued segment then crosses to the successor. A
-// splice without EnableHandoff reports not freezable.
+// direction, whose queued segment then crosses to the successor. An
+// unframed splice reports not freezable.
 func TestSpliceSetFreezeHarvestReplay(t *testing.T) {
 	n := New(GigabitLocal)
 	client, lbFront, lbBack, server := setPair(t, n)
@@ -308,12 +306,13 @@ func TestSpliceSetFreezeHarvestReplay(t *testing.T) {
 	defer ss.Close()
 
 	if plain := ss.NewSplice(lbFront, lbBack, nil); plain.Freeze() {
-		t.Fatal("splice without EnableHandoff reported freezable")
+		t.Fatal("unframed splice reported freezable")
 	} else {
 		ss.Discard(plain)
 	}
-	sp := ss.NewSplice(lbFront, lbBack, nil)
-	sp.EnableHandoff(4, 8)
+	done, onDone := doneSignal()
+	sp := ss.NewSplice(lbFront, lbBack, onDone)
+	sp.SetFraming(4, 8)
 	ss.Start(sp)
 	idle := func(c *Conn, what string) {
 		t.Helper()
@@ -383,7 +382,7 @@ func TestSpliceSetFreezeHarvestReplay(t *testing.T) {
 	}
 	server2.CloseWrite()
 	select {
-	case <-sp.Done():
+	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("handed-off splice did not complete")
 	}

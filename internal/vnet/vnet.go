@@ -73,11 +73,16 @@ type segment struct {
 
 // rxQueue is the receive side of one stream direction.
 type rxQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// segs[head:] are the queued segments. Popping advances head and
+	// never re-slices segs, so the backing array keeps its capacity: a
+	// queue that never holds more than cap(segs) segments is reused
+	// without allocating.
 	segs   []segment
-	closed bool // peer sent FIN
-	reset  bool // local side closed
+	closed bool  // peer sent FIN
+	reset  bool  // local side closed
+	head   int32 // packed beside the flags: rxQueue stays 64 bytes
 	// lastArrive enforces in-order delivery semantics: a segment that was
 	// delayed on the wire delays everything sent after it, so arrival
 	// stamps are clamped monotone per stream.
@@ -112,6 +117,13 @@ func (q *rxQueue) push(data []byte, arrive model.Duration) {
 		arrive = q.lastArrive
 	}
 	q.lastArrive = arrive
+	if len(q.segs) == cap(q.segs) && q.head > 0 {
+		// Full at the tail with room at the front: slide the queue back
+		// instead of growing it.
+		n := copy(q.segs, q.segs[q.head:])
+		clear(q.segs[n:])
+		q.segs, q.head = q.segs[:n], 0
+	}
 	q.segs = append(q.segs, segment{data: data, arrive: arrive})
 	q.cond.Broadcast()
 	q.watch.notify()
@@ -129,7 +141,7 @@ func (q *rxQueue) closeLocal() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.reset = true
-	q.segs = nil
+	q.segs, q.head = nil, 0
 	q.cond.Broadcast()
 	q.watch.notify()
 }
@@ -138,18 +150,21 @@ func (q *rxQueue) closeLocal() {
 func (q *rxQueue) peekArrival() (model.Duration, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.segs) == 0 {
+	if q.queued() == 0 {
 		return 0, false
 	}
-	return q.segs[0].arrive, true
+	return q.segs[q.head].arrive, true
 }
 
 // readableNow reports pending data or pending EOF.
 func (q *rxQueue) readableNow() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.segs) > 0 || q.closed || q.reset
+	return q.queued() > 0 || q.closed || q.reset
 }
+
+// queued reports the number of queued segments (q.mu held).
+func (q *rxQueue) queued() int { return len(q.segs) - int(q.head) }
 
 // read pops up to len(b) bytes. It returns the byte count, the virtual
 // arrival time of the *last* byte delivered (0 when none), and an error.
@@ -157,7 +172,7 @@ func (q *rxQueue) readableNow() bool {
 func (q *rxQueue) read(b []byte, block bool) (int, model.Duration, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.segs) == 0 {
+	for q.queued() == 0 {
 		if q.reset {
 			return 0, 0, ErrClosed
 		}
@@ -171,8 +186,8 @@ func (q *rxQueue) read(b []byte, block bool) (int, model.Duration, error) {
 	}
 	var n int
 	var arrive model.Duration
-	for n < len(b) && len(q.segs) > 0 {
-		s := &q.segs[0]
+	for n < len(b) && q.queued() > 0 {
+		s := &q.segs[q.head]
 		c := copy(b[n:], s.data)
 		n += c
 		if s.arrive > arrive {
@@ -189,15 +204,13 @@ func (q *rxQueue) read(b []byte, block bool) (int, model.Duration, error) {
 }
 
 // popFront drops the queue head, rewinding to the backing array's start
-// when the queue empties so steady-state push/pop alternation reuses
-// the same storage instead of creeping toward a reallocation.
+// when the queue empties.
 func (q *rxQueue) popFront() {
-	q.segs[0] = segment{} // release the payload reference
-	if len(q.segs) == 1 {
-		q.segs = q.segs[:0]
-		return
+	q.segs[q.head] = segment{} // release the payload reference
+	q.head++
+	if int(q.head) == len(q.segs) {
+		q.segs, q.head = q.segs[:0], 0
 	}
-	q.segs = q.segs[1:]
 }
 
 // popSeg pops one whole queued segment without copying, transferring
@@ -206,7 +219,7 @@ func (q *rxQueue) popFront() {
 func (q *rxQueue) popSeg(block bool) ([]byte, model.Duration, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.segs) == 0 {
+	for q.queued() == 0 {
 		if q.reset {
 			return nil, 0, ErrClosed
 		}
@@ -218,7 +231,7 @@ func (q *rxQueue) popSeg(block bool) ([]byte, model.Duration, error) {
 		}
 		q.cond.Wait()
 	}
-	s := q.segs[0]
+	s := q.segs[q.head]
 	q.popFront()
 	return s.data, s.arrive, nil
 }
@@ -579,13 +592,6 @@ func (n *Network) SetNotifier(no Notifier) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.notifier = no
-}
-
-// Link reports the fabric's link profile.
-func (n *Network) Link() Link {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.link
 }
 
 func (n *Network) notify() {

@@ -223,12 +223,21 @@ func TestBacklogStormCloseUnblocksWaiters(t *testing.T) {
 }
 
 // testSplice forwards between a and b on a one-loop SpliceSet that
-// lives until the test ends.
-func testSplice(t *testing.T, a, b *Conn) *Splice {
+// the test's cleanup closes; the channel closes when the splice's
+// onDone fires.
+func testSplice(t *testing.T, a, b *Conn) (*Splice, chan struct{}) {
 	t.Helper()
 	ss := NewSpliceSet(1)
 	t.Cleanup(ss.Close)
-	return ss.Splice(a, b, nil)
+	done, onDone := doneSignal()
+	return ss.Splice(a, b, onDone), done
+}
+
+// doneSignal returns an onDone callback that closes the returned
+// channel: how a test waits for a splice to finish.
+func doneSignal() (chan struct{}, func(*Splice)) {
+	done := make(chan struct{})
+	return done, func(*Splice) { close(done) }
 }
 
 // TestSpliceForwardsBothWays: the balancer splice relays request and
@@ -262,7 +271,7 @@ func TestSpliceForwardsBothWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := testSplice(t, fconn, bconn)
+	s, done := testSplice(t, fconn, bconn)
 
 	if _, err := client.Send([]byte("ping"), est); err != nil {
 		t.Fatal(err)
@@ -296,7 +305,7 @@ func TestSpliceForwardsBothWays(t *testing.T) {
 		t.Fatal("server did not see EOF after client close")
 	}
 	server.Close()
-	<-s.Done()
+	<-done
 	fwd, rev := s.Transferred()
 	if fwd != 4 || rev != 4 {
 		t.Fatalf("splice transferred (%d, %d), want (4, 4)", fwd, rev)
@@ -326,7 +335,7 @@ func TestSpliceHalfCloseDeliversResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	server, _, _ := bl.Accept(true)
-	s := testSplice(t, fconn, bconn)
+	_, done := testSplice(t, fconn, bconn)
 
 	// Fire-and-half-close: request out, write side shut immediately.
 	if _, err := client.Send([]byte("req!"), est); err != nil {
@@ -352,7 +361,7 @@ func TestSpliceHalfCloseDeliversResponse(t *testing.T) {
 	}
 	server.Close()
 	client.Close()
-	<-s.Done()
+	<-done
 }
 
 // TestSpliceAbortCutsBothSides: Abort resets both endpoints — the
@@ -374,9 +383,9 @@ func TestSpliceAbortCutsBothSides(t *testing.T) {
 	}
 	sb, _, _ := l.Accept(true)
 
-	s := testSplice(t, sa, sb)
+	s, done := testSplice(t, sa, sb)
 	s.Abort()
-	<-s.Done()
+	<-done
 	// Both outer endpoints must observe the cut (EOF or reset) instead of
 	// blocking forever — this is what un-wedges clients of a quarantined
 	// shard.
