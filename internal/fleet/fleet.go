@@ -52,6 +52,7 @@ import (
 	"remon/internal/telemetry"
 	"remon/internal/vkernel"
 	"remon/internal/vnet"
+	"remon/internal/wait"
 )
 
 // Typed admission/lifecycle errors. Both are sentinels so retry layers
@@ -437,9 +438,9 @@ type Fleet struct {
 	handoffLats  []time.Duration
 	recoveries   int
 	recoveryLats []time.Duration
-	// recoveryNote is closed and replaced each time a divergence recovery
-	// completes; WaitRecoveries blocks on it instead of polling.
-	recoveryNote chan struct{}
+	// recoveryQ parks WaitRecoveries callers; each completed divergence
+	// recovery wakes them all (f.mu).
+	recoveryQ wait.Queue
 	// regs are the registries RegisterTelemetry wired this fleet into;
 	// AddShard registers a fresh shard's collector into each so a scrape
 	// stays complete across pool growth.
@@ -474,12 +475,11 @@ type admitReq struct {
 func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	f := &Fleet{
-		cfg:          cfg,
-		frontNet:     vnet.New(vnet.GigabitLocal),
-		verdicts:     make(chan verdictEvent, cfg.Shards*4),
-		stopCh:       make(chan struct{}),
-		routes:       make([]routeStripe, 64),
-		recoveryNote: make(chan struct{}),
+		cfg:      cfg,
+		frontNet: vnet.New(vnet.GigabitLocal),
+		verdicts: make(chan verdictEvent, cfg.Shards*4),
+		stopCh:   make(chan struct{}),
+		routes:   make([]routeStripe, 64),
 	}
 	for i := range f.routes {
 		f.routes[i].m = map[string]routeEntry{}
@@ -705,8 +705,7 @@ func (f *Fleet) handleDivergence(ev verdictEvent) {
 	f.mu.Lock()
 	f.recoveries++
 	f.recoveryLats = append(f.recoveryLats, time.Since(c.at))
-	close(f.recoveryNote)
-	f.recoveryNote = make(chan struct{})
+	f.recoveryQ.WakeAll(0)
 	f.mu.Unlock()
 }
 
@@ -1054,38 +1053,19 @@ func (f *Fleet) HandoffLatencies() []time.Duration {
 }
 
 // WaitRecoveries blocks (host time, bounded) until at least n divergence
-// recoveries completed. Reports whether the target was reached. The wait
-// parks on the recovery-notification channel (closed and replaced by the
-// supervisor at each completed recovery), so it wakes exactly when the
-// count moves — no polling interval, mirroring the PR 5 WaitDrained
-// abort-channel fix.
+// recoveries completed. Reports whether the target was reached. Each
+// completed recovery wakes the wait, so it returns exactly when the count
+// moves — no polling interval.
 func (f *Fleet) WaitRecoveries(n int, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	for {
-		f.mu.Lock()
-		done := f.recoveries >= n
-		note := f.recoveryNote
-		f.mu.Unlock()
-		if done {
-			return true
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return false
-		}
-		t := time.NewTimer(remaining)
-		select {
-		case <-note:
-			t.Stop()
-		case <-t.C:
-			// Deadline reached; one last count check closes the race where
-			// the recovery landed as the timer fired.
-			f.mu.Lock()
-			done = f.recoveries >= n
-			f.mu.Unlock()
-			return done
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for f.recoveries < n {
+		if _, ok := f.recoveryQ.ParkUntil(&f.mu, "fleet.recovery", 0, nil, deadline); !ok {
+			break
 		}
 	}
+	return f.recoveries >= n
 }
 
 // WaitRecoveriesDriving waits like WaitRecoveries but runs drive

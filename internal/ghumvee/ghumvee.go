@@ -12,9 +12,10 @@
 // The rendezvous engine (DESIGN.md §7) is a lock-free arrival ring per
 // logical-thread group: replicas publish arrivals through the internal/mem
 // atomic word API, the last arrival closes the round and acts as the
-// monitor, waiters spin briefly and then park on per-slot channels that
-// are woken individually (no broadcast herd), and each group re-arms one
-// pooled watchdog timer instead of allocating a fresh one per call.
+// monitor, waiters spin briefly and then park on per-slot wait queues
+// that are woken individually (no broadcast herd), and each group
+// re-arms one pooled watchdog timer instead of allocating a fresh one
+// per call.
 package ghumvee
 
 import (
@@ -118,7 +119,7 @@ type Monitor struct {
 	shadow  *fdmap.EpollShadow
 
 	// Hot-path state: halted flags, watchdog duration and the abort
-	// channel waiters select on.
+	// channel that cancels every rendezvous and arbiter park.
 	diverged  atomic.Bool
 	stopped   atomic.Bool
 	lockstep  atomic.Int64 // rendezvous watchdog, ns
@@ -247,7 +248,7 @@ func (m *Monitor) halted() bool {
 	return m.diverged.Load() || m.stopped.Load()
 }
 
-// signalAbort wakes every parked rendezvous waiter, exactly once, and
+// signalAbort cancels every rendezvous and arbiter park, exactly once, and
 // disarms every group's watchdog: a round the teardown interrupted never
 // completes, and its pending timer would keep the whole replica set
 // reachable until the lockstep timeout fires. A waiter that arms after
@@ -868,11 +869,10 @@ func (m *Monitor) ApproveRegistration(p *vkernel.Process, mask *vkernel.SyscallM
 }
 
 // ResetPartition implements rb.Arbiter (§3.2): wait until every slave has
-// drained the partition, then reset it. The wait is driven by the RB's
-// drain notification, and teardown (divergence or administrative Stop)
-// interrupts it through the monitor's abort channel — both signalAbort
-// paths close it, so the old halted() polling is gone. Writers call it
-// at every lag window.
+// drained the partition, then reset it. The consumer whose store drains
+// the partition wakes the wait, and teardown (divergence or
+// administrative Stop) cancels it through the monitor's abort channel.
+// Writers call it at every lag window.
 func (m *Monitor) ResetPartition(b *rb.Buffer, part int) {
 	b.WaitDrained(part, m.abort)
 	b.DoReset(part)

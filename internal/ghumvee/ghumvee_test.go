@@ -8,8 +8,10 @@ import (
 
 	"remon/internal/fdmap"
 	"remon/internal/mem"
+	"remon/internal/rb"
 	"remon/internal/vkernel"
 	"remon/internal/vnet"
+	"remon/internal/wait"
 )
 
 // monEnv is a 2-replica monitor harness with per-replica arenas.
@@ -636,4 +638,41 @@ func TestTeardownDisarmsWatchdog(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestArbiterWaitReturnsOnMonitorAbort: an arbiter reset waiting on a
+// slave that never drains returns when the monitor is torn down — the
+// abort cancels its park, no timer polls for it.
+func TestArbiterWaitReturnsOnMonitorAbort(t *testing.T) {
+	e := newMonEnv(t, 2)
+	b, err := rb.New(mem.NewSharedSegment(-1, 1<<16), 2, 1, e.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.NewWriter(0, 0).Reserve(e.threads[0], &vkernel.Call{Num: vkernel.SysGetpid}, 0, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Complete(e.threads[0], 0, 0, nil)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.m.ResetPartition(b, 0)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for parked := false; !parked; {
+		for _, p := range wait.Parked() {
+			parked = parked || p.Reason == "rb.drain"
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the arbiter never parked on the undrained partition")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	e.m.Stop("test retirement")
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("monitor abort did not end the arbiter's drain wait")
+	}
 }

@@ -2,11 +2,13 @@ package ghumvee
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"remon/internal/mem"
 	"remon/internal/vkernel"
+	"remon/internal/wait"
 )
 
 // The arrival ring is one logical-thread group's lockstep meeting point,
@@ -28,8 +30,8 @@ import (
 //     arrival counter — the AddU32 read-modify-write is the release
 //     that publishes the slot's record.
 //  2. If the counter is still short of n, the replica spins briefly on
-//     doneSeq(i), then parks on its private wake channel (or the
-//     monitor-wide abort channel).
+//     doneSeq(i), then parks on its slot's wait queue (the monitor-wide
+//     abort channel cancels the park).
 //  3. The arrival that brings the counter to n observes — through the
 //     counter's read-modify-write ordering — every slot's published
 //     record, runs the monitor round, resets the counter, release-stores
@@ -58,10 +60,9 @@ type arrival struct {
 
 // ringSlot is one replica's lane in the group.
 type ringSlot struct {
-	arr    arrival
-	seq    uint64 // local round counter, owned by the arriving thread
-	parked atomic.Uint32
-	wake   chan struct{} // cap 1; tokens are absorbed by the recheck loop
+	arr arrival
+	seq uint64     // local round counter, owned by the arriving thread
+	q   wait.Queue // the slot's thread once it outlives its spin (ring.mu)
 }
 
 // ring is the lock-free rendezvous for one logical-thread group.
@@ -70,6 +71,7 @@ type ring struct {
 	seg     *mem.SharedSegment
 	slots   []ringSlot
 	collect []*arrival // monitor-of-round scratch (only the closer touches it)
+	mu      sync.Mutex // guards the slots' wait queues
 
 	// closed is the last round whose arrivals all showed up, set by the
 	// closing arrival before it runs the monitor round. An armed watchdog
@@ -92,9 +94,6 @@ func newRing(m *Monitor, n int) *ring {
 		seg:     mem.NewSharedSegment(-1, uint64(ringSlotStride*(n+1))),
 		slots:   make([]ringSlot, n),
 		collect: make([]*arrival, n),
-	}
-	for i := range g.slots {
-		g.slots[i].wake = make(chan struct{}, 1)
 	}
 	g.timer = time.AfterFunc(time.Hour, func() { g.watchdogFire(m) })
 	g.timer.Stop()
@@ -135,7 +134,7 @@ func (g *ring) watchdogFire(m *Monitor) {
 }
 
 // awaitDone blocks slot idx until its round-r result is published. It
-// spins briefly, then parks on the slot's wake channel; false means the
+// spins briefly, then parks on the slot's wait queue; false means the
 // monitor halted (divergence or Stop) before the round completed.
 func (g *ring) awaitDone(m *Monitor, slot *ringSlot, idx int, r uint64) bool {
 	off := doneOff(idx)
@@ -152,33 +151,19 @@ func (g *ring) awaitDone(m *Monitor, slot *ringSlot, idx int, r uint64) bool {
 	// watchdog before sleeping. Rounds that complete within the spin
 	// window (the overwhelmingly common case) never touch the timer.
 	g.armWatchdog(m, r, slot.arr.c)
-	for {
-		slot.parked.Store(1)
-		if g.seg.LoadU32(off) == want {
-			// Result arrived between the spin and the park; a wake token
-			// the monitor may have raced in stays buffered and is
-			// absorbed by a later recheck.
-			slot.parked.Store(0)
-			return true
-		}
-		select {
-		case <-slot.wake:
-		case <-m.abort:
-			// Prefer a published result over the abort (the old engine's
-			// "done wins over halted" ordering).
-			return g.seg.LoadU32(off) == want
-		}
-		if g.seg.LoadU32(off) == want {
-			return true
-		}
-		if m.halted() {
-			return false
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.seg.LoadU32(off) != want {
+		if _, ok := slot.q.ParkUntil(&g.mu, "ghumvee.rendezvous", slot.arr.t.Clock.Now(), m.abort, time.Time{}); !ok {
+			break
 		}
 	}
+	return g.seg.LoadU32(off) == want // a published result wins over the abort
 }
 
 // completeRound publishes round r's results and reopens the ring. Called
-// by the round's monitor (the closing arrival) only.
+// by the round's monitor (the closing arrival) only. The doneSeq stores
+// and wakes run under ring.mu (DESIGN.md §15).
 func (g *ring) completeRound(m *Monitor, r uint64, self int) {
 	if g.armedRound.Load() == r {
 		g.timer.Stop()
@@ -186,18 +171,15 @@ func (g *ring) completeRound(m *Monitor, r uint64, self int) {
 	// Reopen the arrival counter before any waiter is released: a woken
 	// waiter may immediately start the next round.
 	g.seg.StoreU32(ringCntOff, 0)
+	g.mu.Lock()
 	for i := range g.slots {
 		if i == self {
 			continue
 		}
 		g.seg.StoreU32(doneOff(i), uint32(r)) // release: publish arr.result
-		s := &g.slots[i]
-		if s.parked.Swap(0) == 1 {
+		if g.slots[i].q.Wake(1, 0) > 0 {
 			m.at.wakeups.Add(1)
-			select {
-			case s.wake <- struct{}{}:
-			default:
-			}
 		}
 	}
+	g.mu.Unlock()
 }

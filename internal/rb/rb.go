@@ -43,12 +43,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"remon/internal/mem"
 	"remon/internal/model"
 	"remon/internal/vkernel"
+	"remon/internal/wait"
 )
 
 // Entry flags.
@@ -75,8 +77,8 @@ const (
 	// globalHeaderSize holds buffer-wide state: the signals-pending flag
 	// GHUMVEE raises (§3.8) at offset 0.
 	globalHeaderSize = 64
-	// partHeaderSize per partition: writeOff(4) writtenSeq(4)
-	// generation(4) resetReq(4) consumed[12]x4.
+	// partHeaderSize per partition: reserved(4) writtenSeq(4)
+	// generation(4) reserved(4) consumed[12]x4.
 	partHeaderSize = 64
 	// entryHeaderSize: see field offsets below.
 	entryHeaderSize = 112
@@ -111,10 +113,6 @@ const (
 	// (and therefore how long its consumed-counter store can be
 	// deferred).
 	maxDrainRun = 64
-	// lagRecheck bounds how stale a writer's abort/progress check can get
-	// while it waits on the lag budget; the drain notification channel
-	// provides the prompt wake.
-	lagRecheck = 100 * time.Microsecond
 )
 
 var le = binary.LittleEndian
@@ -194,12 +192,9 @@ type Buffer struct {
 	// monitor-side Go state — nothing here extends the shared segment's
 	// attack surface.
 	maxLag atomic.Int32
-	// drained carries one-shot per-partition notifications from slaves to
-	// the writer side: a consumer pings it after its consumed-counter
-	// store while the arbiter waits for a reset (ResetRequested) or the
-	// writer waits on the lag budget (lagArmed), so neither sleep-polls.
-	drained  []chan struct{}
-	lagArmed []atomic.Uint32
+	// waits are the per-partition writer-side waits on slave
+	// consumption: the lag budget and the arbiter's drain.
+	waits []partWait
 	// wakeCtrs feed Stats (host-side only): one padded slot per
 	// partition, so each single-owner writer bumps its own cache line
 	// instead of all writers contending on one buffer-global RMW per call.
@@ -312,12 +307,8 @@ func New(seg *mem.SharedSegment, nReplicas, nParts int, arbiter Arbiter) (*Buffe
 	if partSize <= partHeaderSize+entryHeaderSize {
 		return nil, fmt.Errorf("rb: segment too small (%d bytes for %d partitions)", seg.Size, nParts)
 	}
-	drained := make([]chan struct{}, nParts)
-	for i := range drained {
-		drained[i] = make(chan struct{}, 1)
-	}
 	return &Buffer{seg: seg, nReplicas: nReplicas, nParts: nParts, partSize: partSize,
-		arbiter: arbiter, drained: drained, lagArmed: make([]atomic.Uint32, nParts),
+		arbiter: arbiter, waits: make([]partWait, nParts),
 		wakeCtrs: make([]wakeCtr, nParts)}, nil
 }
 
@@ -359,11 +350,11 @@ func (b *Buffer) SetSignalsPending(v bool) {
 func (b *Buffer) SignalsPending() bool { return b.seg.LoadU32(0) != 0 }
 
 // partition header field offsets; each word has one meaning (DESIGN.md
-// §2). Word 0 is reserved: the write offset lives in the Writer.
+// §2). Words 0 and 12 are reserved: the write offset lives in the
+// Writer, and the arbiter is called, not signalled through the segment.
 const (
 	phWrittenSeq = 4
 	phGeneration = 8
-	phResetReq   = 12 // master waits on an arbiter reset
 	phConsumed   = 16 // nReplicas x u32
 )
 
@@ -387,20 +378,12 @@ func (b *Buffer) Generation(p int) uint32 {
 	return b.seg.LoadU32(b.partBase(p) + phGeneration)
 }
 
-// ResetRequested reports whether the master is waiting on an arbiter
-// reset of partition p.
-func (b *Buffer) ResetRequested(p int) bool {
-	return b.seg.LoadU32(b.partBase(p)+phResetReq) != 0
-}
-
 // DoReset performs the arbiter's reset of partition p. Callers (GHUMVEE)
 // must have established that all slaves drained the partition. Sequence
 // numbers and consumed counters stay cumulative; the new generation
 // restarts the data area at offset 0.
 func (b *Buffer) DoReset(p int) {
-	base := b.partBase(p)
-	b.seg.StoreU32(base+phGeneration, b.Generation(p)+1)
-	b.seg.StoreU32(base+phResetReq, 0)
+	b.seg.StoreU32(b.partBase(p)+phGeneration, b.Generation(p)+1)
 }
 
 // align16 rounds n up to a 16-byte boundary.
@@ -499,7 +482,6 @@ func (w *Writer) Reserve(t *vkernel.Thread, c *vkernel.Call, flags uint32, inPay
 	// entries no slave can see yet.
 	if w.off+need > b.dataCap() {
 		w.Flush(t)
-		b.seg.StoreU32(base+phResetReq, 1)
 		b.arbiter.ResetPartition(b, w.part)
 		w.off = 0
 		// Waiters blocked on writtenSeq must recheck the generation.
@@ -595,30 +577,35 @@ func (w *Writer) Flush(t *vkernel.Thread) {
 }
 
 // waitConsumed blocks until every slave's consumed counter has reached
-// target (wrap-safe), the thread is torn down, or — as a safety net —
-// the recheck timer notices a missed notification. Consumers ping the
-// partition's drain channel after their consumed-counter store while
-// lagArmed is up.
+// target (wrap-safe) or the writer's thread exits.
 func (w *Writer) waitConsumed(t *vkernel.Thread, target uint32) {
 	if w.consumedReached(target) {
 		return
 	}
-	b := w.b
-	b.lagWaits.Add(1)
-	b.lagArmed[w.part].Store(1)
-	defer b.lagArmed[w.part].Store(0)
-	tm := time.NewTimer(lagRecheck)
-	defer tm.Stop()
-	for !w.consumedReached(target) {
-		if t.Exited() {
-			return
-		}
-		select {
-		case <-b.drained[w.part]:
-		case <-tm.C:
-			tm.Reset(lagRecheck)
+	w.b.lagWaits.Add(1)
+	w.b.waits[w.part].await(func() bool { return w.consumedReached(target) }, "rb.lag", t.Clock.Now(), t.Done())
+}
+
+// partWait is one partition's writer-side wait on slave consumption:
+// the waiter raises armed before its first check, and Consume wakes q
+// when it sees armed after its store (DESIGN.md §15).
+type partWait struct {
+	mu    sync.Mutex
+	q     wait.Queue
+	armed atomic.Int32
+}
+
+// await parks until done reports true or cancel closes.
+func (pw *partWait) await(done func() bool, r wait.Reason, vt model.Duration, cancel <-chan struct{}) {
+	pw.armed.Add(1)
+	pw.mu.Lock()
+	for !done() {
+		if _, ok := pw.q.ParkUntil(&pw.mu, r, vt, cancel, time.Time{}); !ok {
+			break
 		}
 	}
+	pw.mu.Unlock()
+	pw.armed.Add(-1)
 }
 
 // consumedReached reports whether every slave's acknowledged consumption
@@ -900,10 +887,9 @@ func (ev *EntryView) WaitResults(t *vkernel.Thread) (ret uint64, errno vkernel.E
 
 // Consume advances past the entry. The consumed-counter store — this
 // replica's own slot only, no read-write sharing — is issued once the
-// claimed run is drained. It then pings the drain channel when the
-// writer waits on the lag budget, or when an arbiter reset is pending
-// and this store drained the partition; the common path stays
-// notification-free.
+// claimed run is drained. It then wakes the partition's writer-side wait
+// if one is armed (the lag budget or the arbiter's drain); the common
+// path stays notification-free.
 func (ev *EntryView) Consume() {
 	r := ev.r
 	r.off += uint64(ev.size)
@@ -914,38 +900,18 @@ func (ev *EntryView) Consume() {
 	}
 	b := r.b
 	b.seg.StoreU32(b.partBase(r.part)+phConsumed+uint64(r.replica)*4, r.seq)
-	if b.lagArmed[r.part].Load() != 0 || (b.ResetRequested(r.part) && b.Drained(r.part)) {
-		select {
-		case b.drained[r.part] <- struct{}{}:
-		default:
-		}
+	if pw := &b.waits[r.part]; pw.armed.Load() != 0 {
+		pw.mu.Lock()
+		pw.q.WakeAll(0)
+		pw.mu.Unlock()
 	}
 }
 
 // WaitDrained blocks until every slave has drained partition p or abort
-// is closed (a nil abort never fires). Drain notifications from
-// consumers provide the prompt wake and the abort channel makes teardown
-// event-driven. One pooled timer (re-armed, never reallocated) remains
-// as the safety net for the narrow race where a consumer's last store
-// lands between the initial Drained check and the reset request
-// becoming visible to it (its ping is skipped, so the notification is a
-// hint, not a guarantee).
+// is closed (a nil abort never fires). The consumer whose store drains
+// the partition wakes it (partWait).
 func (b *Buffer) WaitDrained(p int, abort <-chan struct{}) {
-	if b.Drained(p) {
-		return
-	}
-	const recheck = time.Millisecond
-	t := time.NewTimer(recheck)
-	defer t.Stop()
-	for !b.Drained(p) {
-		select {
-		case <-b.drained[p]:
-		case <-abort:
-			return
-		case <-t.C:
-			t.Reset(recheck)
-		}
-	}
+	b.waits[p].await(func() bool { return b.Drained(p) }, "rb.drain", 0, abort)
 }
 
 // Drained reports whether every slave has consumed all published entries

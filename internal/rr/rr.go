@@ -16,6 +16,7 @@ import (
 
 	"remon/internal/model"
 	"remon/internal/vkernel"
+	"remon/internal/wait"
 )
 
 // Event is one recorded synchronisation operation.
@@ -39,12 +40,12 @@ type Log struct {
 	mu     sync.Mutex
 	events []Event
 	closed bool
-	// waiters[pos] holds the wake channels of replayers blocked until
-	// event pos exists. record wakes exactly the channels registered at
-	// the appended position — a targeted wake instead of a broadcast.
-	// Channels carry one token per use and recycle through chanPool.
-	waiters  map[int][]chan struct{}
-	chanPool []chan struct{}
+	// waiters are the replayers blocked until the next event exists. A
+	// replayer awaits a position only when it has no event, and its
+	// cursor never passes the end, so every waiter awaits len(events):
+	// record's wake reaches exactly the replayers of the appended
+	// position.
+	waiters wait.Queue
 	// subs are the replaying agents; record hands each newly appended
 	// event to them (outside the log lock) so a thread parked on its
 	// operation key is found even when its event is recorded after the
@@ -53,19 +54,7 @@ type Log struct {
 }
 
 // NewLog creates an empty log.
-func NewLog() *Log {
-	return &Log{waiters: map[int][]chan struct{}{}}
-}
-
-// getChan pops a pooled wake channel (l.mu held).
-func (l *Log) getChan() chan struct{} {
-	if n := len(l.chanPool); n > 0 {
-		ch := l.chanPool[n-1]
-		l.chanPool = l.chanPool[:n-1]
-		return ch
-	}
-	return make(chan struct{}, 1)
-}
+func NewLog() *Log { return &Log{} }
 
 // Close marks the log finished (master exit); blocked slaves drain.
 // Both wait populations are woken: position waiters (they observe closed
@@ -75,16 +64,13 @@ func (l *Log) getChan() chan struct{} {
 func (l *Log) Close() {
 	l.mu.Lock()
 	l.closed = true
-	for pos, ws := range l.waiters {
-		for _, ch := range ws {
-			ch <- struct{}{}
-		}
-		delete(l.waiters, pos)
-	}
+	l.waiters.WakeAll(0)
 	subs := l.subs
 	l.mu.Unlock()
 	for _, a := range subs {
+		a.mu.Lock()
 		a.wakeAllParked()
+		a.mu.Unlock()
 	}
 }
 
@@ -98,19 +84,15 @@ func (l *Log) Len() int {
 // record appends an event and wakes only the replayers awaiting its
 // position, then offers the event to each replaying agent (whose turn
 // owner may be parked on its key).
-func (l *Log) record(e Event) {
+func (l *Log) record(e Event, vt model.Duration) {
 	l.mu.Lock()
 	pos := len(l.events)
 	l.events = append(l.events, e)
-	ws := l.waiters[pos]
-	delete(l.waiters, pos)
+	l.waiters.WakeAll(vt)
 	subs := l.subs
-	for _, ch := range ws {
-		ch <- struct{}{} // cap 1: never blocks (one token per registration)
-	}
 	l.mu.Unlock()
 	for _, a := range subs {
-		a.notifyRecorded(pos, e)
+		a.notifyRecorded(pos, e, vt)
 	}
 }
 
@@ -131,27 +113,15 @@ func (l *Log) get(pos int) (e Event, exists, closed bool) {
 	return Event{}, false, l.closed
 }
 
-// await blocks until event pos exists, then returns it. ok=false when the
-// log closed first.
-func (l *Log) await(pos int) (Event, bool) {
+// await blocks until event pos exists; false when the log closed
+// first. vt is the replayer's virtual time.
+func (l *Log) await(pos int, vt model.Duration) bool {
 	l.mu.Lock()
-	for {
-		if pos < len(l.events) {
-			e := l.events[pos]
-			l.mu.Unlock()
-			return e, true
-		}
-		if l.closed {
-			l.mu.Unlock()
-			return Event{}, false
-		}
-		ch := l.getChan()
-		l.waiters[pos] = append(l.waiters[pos], ch)
-		l.mu.Unlock()
-		<-ch
-		l.mu.Lock()
-		l.chanPool = append(l.chanPool, ch)
+	defer l.mu.Unlock()
+	for pos >= len(l.events) && !l.closed {
+		l.waiters.Park(&l.mu, "rr.record", vt)
 	}
+	return pos < len(l.events)
 }
 
 // Agent is one replica's record/replay agent.
@@ -161,20 +131,18 @@ type Agent struct {
 
 	mu     sync.Mutex
 	cursor int
-	// keyWait holds, per (ltid, obj, kind), the wake channels of threads
-	// waiting for their operation's turn. Consuming an event wakes only
-	// the owner of the next event — the replaced gate broadcast woke
-	// every parked thread to re-check a cursor only one of them could
-	// advance. Channels recycle through chanPool (one token per use).
-	keyWait  map[Event][]chan struct{}
-	chanPool []chan struct{}
-	parked   int // threads currently waiting in keyWait
+	// keyWait holds, per (ltid, obj, kind), the threads waiting for
+	// their operation's turn. Consuming an event wakes only the owner of
+	// the next event — the replaced gate broadcast woke every parked
+	// thread to re-check a cursor only one of them could advance.
+	keyWait map[Event]*wait.Queue
+	parked  int // threads currently waiting in keyWait
 }
 
 // NewAgent creates an agent. Exactly one agent per replica set records
 // (the master's); the rest replay.
 func NewAgent(log *Log, master bool) *Agent {
-	a := &Agent{log: log, master: master, keyWait: map[Event][]chan struct{}{}}
+	a := &Agent{log: log, master: master, keyWait: map[Event]*wait.Queue{}}
 	if !master {
 		log.subscribe(a)
 	}
@@ -182,20 +150,10 @@ func NewAgent(log *Log, master bool) *Agent {
 }
 
 // wakeAllParked releases every key-parked thread so it can re-examine
-// the (now closed) log.
+// the (now closed) log (a.mu held).
 func (a *Agent) wakeAllParked() {
-	a.mu.Lock()
-	a.wakeAllParkedLocked()
-	a.mu.Unlock()
-}
-
-func (a *Agent) wakeAllParkedLocked() {
-	for k, ws := range a.keyWait {
-		for _, ch := range ws {
-			ch <- struct{}{}
-			a.parked--
-		}
-		a.keyWait[k] = ws[:0]
+	for _, q := range a.keyWait {
+		a.parked -= q.WakeAll(0)
 	}
 }
 
@@ -203,10 +161,10 @@ func (a *Agent) wakeAllParkedLocked() {
 // pos: if this agent's cursor is already there and e's owner is parked,
 // hand it the turn. Lock order is always Agent.mu before Log.mu, and
 // record calls this after releasing Log.mu, so no cycle exists.
-func (a *Agent) notifyRecorded(pos int, e Event) {
+func (a *Agent) notifyRecorded(pos int, e Event, vt model.Duration) {
 	a.mu.Lock()
 	if a.parked > 0 && a.cursor == pos {
-		a.wakeKeyLocked(e)
+		a.wakeKeyLocked(e, vt)
 	}
 	a.mu.Unlock()
 }
@@ -214,26 +172,10 @@ func (a *Agent) notifyRecorded(pos int, e Event) {
 // Master reports whether this agent records.
 func (a *Agent) Master() bool { return a.master }
 
-// getChan pops a pooled wake channel (a.mu held).
-func (a *Agent) getChan() chan struct{} {
-	if n := len(a.chanPool); n > 0 {
-		ch := a.chanPool[n-1]
-		a.chanPool = a.chanPool[:n-1]
-		return ch
-	}
-	return make(chan struct{}, 1)
-}
-
 // wakeKeyLocked wakes one thread parked on e's key, if any (a.mu held).
-func (a *Agent) wakeKeyLocked(e Event) {
-	if ws, ok := a.keyWait[e]; ok && len(ws) > 0 {
-		ws[0] <- struct{}{} // cap 1: never blocks (one token per park)
-		a.parked--
-		if len(ws) == 1 {
-			a.keyWait[e] = ws[:0] // keep the backing array for reuse
-		} else {
-			a.keyWait[e] = append(ws[:0], ws[1:]...)
-		}
+func (a *Agent) wakeKeyLocked(e Event, vt model.Duration) {
+	if q := a.keyWait[e]; q != nil {
+		a.parked -= q.Wake(1, vt)
 	}
 }
 
@@ -246,7 +188,7 @@ func (a *Agent) wakeKeyLocked(e Event) {
 func (a *Agent) Sync(t *vkernel.Thread, ltid int, obj uint64, kind uint8) {
 	if a.master {
 		t.Clock.Advance(model.CostRRRecord)
-		a.log.record(Event{LTID: ltid, Obj: obj, Kind: kind})
+		a.log.record(Event{LTID: ltid, Obj: obj, Kind: kind}, t.Clock.Now())
 		return
 	}
 	t.Clock.Advance(model.CostRRReplay)
@@ -265,7 +207,7 @@ func (a *Agent) Sync(t *vkernel.Thread, ltid int, obj uint64, kind uint8) {
 			// Event not recorded yet: wait on the log's position index,
 			// outside the agent lock.
 			a.mu.Unlock()
-			if _, ok := a.log.await(pos); !ok {
+			if !a.log.await(pos, t.Clock.Now()) {
 				return
 			}
 			a.mu.Lock()
@@ -279,9 +221,9 @@ func (a *Agent) Sync(t *vkernel.Thread, ltid int, obj uint64, kind uint8) {
 			// release everyone to run free (Close's drain guarantee).
 			if a.parked > 0 {
 				if next, ok, closed := a.log.get(a.cursor); ok {
-					a.wakeKeyLocked(next)
+					a.wakeKeyLocked(next, t.Clock.Now())
 				} else if closed {
-					a.wakeAllParkedLocked()
+					a.wakeAllParked()
 				}
 			}
 			a.mu.Unlock()
@@ -290,13 +232,13 @@ func (a *Agent) Sync(t *vkernel.Thread, ltid int, obj uint64, kind uint8) {
 		// Not our turn. Make sure the current event's owner is woken
 		// (it may have parked before this event reached the cursor),
 		// then park on our own key.
-		a.wakeKeyLocked(e)
-		ch := a.getChan()
-		a.keyWait[key] = append(a.keyWait[key], ch)
+		a.wakeKeyLocked(e, t.Clock.Now())
+		q := a.keyWait[key]
+		if q == nil {
+			q = new(wait.Queue)
+			a.keyWait[key] = q
+		}
 		a.parked++
-		a.mu.Unlock()
-		<-ch
-		a.mu.Lock()
-		a.chanPool = append(a.chanPool, ch)
+		q.Park(&a.mu, "rr.turn", t.Clock.Now())
 	}
 }

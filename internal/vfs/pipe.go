@@ -3,6 +3,8 @@ package vfs
 import (
 	"errors"
 	"sync"
+
+	"remon/internal/wait"
 )
 
 // Pipe errors.
@@ -13,13 +15,13 @@ var (
 
 // Pipe is a bounded byte FIFO with blocking and non-blocking operation,
 // used for pipe(2) and as the transport inside socketpair-style streams.
-// Blocking waits are coordinated with a condition variable; virtual-time
+// Blocking waits park on one wait queue per direction; virtual-time
 // accounting for the wait is done by the kernel layer, which knows the
 // waiting thread's clock.
 type Pipe struct {
 	mu       sync.Mutex
-	rdWait   *sync.Cond
-	wrWait   *sync.Cond
+	rdWait   wait.Queue
+	wrWait   wait.Queue
 	buf      []byte
 	capacity int
 	rClosed  bool
@@ -35,10 +37,7 @@ func NewPipe(capacity int) *Pipe {
 	if capacity <= 0 {
 		capacity = DefaultPipeCapacity
 	}
-	p := &Pipe{capacity: capacity}
-	p.rdWait = sync.NewCond(&p.mu)
-	p.wrWait = sync.NewCond(&p.mu)
-	return p
+	return &Pipe{capacity: capacity}
 }
 
 // Len reports the number of buffered bytes.
@@ -79,11 +78,11 @@ func (p *Pipe) Read(b []byte, block bool) (int, error) {
 		if !block {
 			return 0, ErrWouldBlock
 		}
-		p.rdWait.Wait()
+		p.rdWait.Park(&p.mu, "vfs.pipe.read", 0)
 	}
 	n := copy(b, p.buf)
 	p.buf = p.buf[n:]
-	p.wrWait.Broadcast()
+	p.wrWait.WakeAll(0)
 	return n, nil
 }
 
@@ -113,7 +112,7 @@ func (p *Pipe) Write(b []byte, block bool) (int, error) {
 				}
 				return 0, ErrWouldBlock
 			}
-			p.wrWait.Wait()
+			p.wrWait.Park(&p.mu, "vfs.pipe.write", 0)
 			continue
 		}
 		chunk := len(b) - written
@@ -122,7 +121,7 @@ func (p *Pipe) Write(b []byte, block bool) (int, error) {
 		}
 		p.buf = append(p.buf, b[written:written+chunk]...)
 		written += chunk
-		p.rdWait.Broadcast()
+		p.rdWait.WakeAll(0)
 	}
 	return written, nil
 }
@@ -132,8 +131,8 @@ func (p *Pipe) CloseRead() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.rClosed = true
-	p.rdWait.Broadcast()
-	p.wrWait.Broadcast()
+	p.rdWait.WakeAll(0)
+	p.wrWait.WakeAll(0)
 }
 
 // CloseWrite closes the write end; readers drain then see EOF.
@@ -141,8 +140,8 @@ func (p *Pipe) CloseWrite() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.wClosed = true
-	p.rdWait.Broadcast()
-	p.wrWait.Broadcast()
+	p.rdWait.WakeAll(0)
+	p.wrWait.WakeAll(0)
 }
 
 // Closed reports whether both ends are closed.

@@ -209,7 +209,7 @@ func (k *Kernel) waitReady(t *Thread, timeout int64, scan func() []readyEvent) [
 		if again := scan(); len(again) > 0 {
 			continue
 		}
-		k.Hub.WaitChange(gen)
+		k.Hub.WaitChange(gen, t.Clock.Now())
 	}
 }
 

@@ -112,9 +112,6 @@ func (f *OpenFile) Nonblock() bool {
 	return f.nonblock
 }
 
-// Conn exposes the socket connection (nil for non-sockets).
-func (f *OpenFile) Conn() *vnet.Conn { return f.conn }
-
 // readableNow reports whether a read on f would not block.
 func (f *OpenFile) readableNow() bool {
 	switch f.Kind {

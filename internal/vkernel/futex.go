@@ -6,6 +6,7 @@ import (
 
 	"remon/internal/mem"
 	"remon/internal/model"
+	"remon/internal/wait"
 )
 
 // Futex operations (subset of the Linux API; §3.7 — IP-MON's condition
@@ -25,18 +26,11 @@ type futexKey struct {
 	addr  mem.Addr
 }
 
-type futexWaiter struct {
-	ch     chan struct{}
-	wakeAt model.Duration
-}
-
+// futexTable holds one wait queue per futex word with parked waiters;
+// a queue leaves the map when its last waiter is woken.
 type futexTable struct {
 	mu      sync.Mutex
-	waiters map[futexKey][]*futexWaiter
-}
-
-func newFutexTable() *futexTable {
-	return &futexTable{waiters: map[futexKey][]*futexWaiter{}}
+	waiters map[futexKey]*wait.Queue
 }
 
 func (ft *futexTable) keyFor(p *Process, addr mem.Addr) (futexKey, Errno) {
@@ -89,32 +83,27 @@ func (k *Kernel) sysFutex(t *Thread, c *Call) Result {
 			k.futex.mu.Unlock()
 			return Result{Errno: EINTR}
 		}
-		w := &futexWaiter{ch: make(chan struct{})}
-		k.futex.waiters[key] = append(k.futex.waiters[key], w)
-		k.futex.mu.Unlock()
-
+		q := k.futex.waiters[key]
+		if q == nil {
+			q = new(wait.Queue)
+			k.futex.waiters[key] = q
+		}
 		t.Clock.Advance(model.CostFutexWait)
-		<-w.ch
-		t.Clock.SyncTo(w.wakeAt)
+		at := q.Park(&k.futex.mu, "futex", t.Clock.Now())
+		k.futex.mu.Unlock()
+		t.Clock.SyncTo(at)
 		return Result{}
 	case FutexWake:
 		n := int(val)
 		now := t.Clock.Now()
 		t.Clock.Advance(model.CostFutexWake)
 		k.futex.mu.Lock()
-		queue := k.futex.waiters[key]
 		woken := 0
-		for woken < n && len(queue) > 0 {
-			w := queue[0]
-			queue = queue[1:]
-			w.wakeAt = now
-			close(w.ch)
-			woken++
-		}
-		if len(queue) == 0 {
-			delete(k.futex.waiters, key)
-		} else {
-			k.futex.waiters[key] = queue
+		if q := k.futex.waiters[key]; q != nil {
+			woken = q.Wake(n, now)
+			if q.Len() == 0 {
+				delete(k.futex.waiters, key)
+			}
 		}
 		k.futex.mu.Unlock()
 		return Result{Val: uint64(woken)}
@@ -127,10 +116,8 @@ func (k *Kernel) sysFutex(t *Thread, c *Call) Result {
 func (ft *futexTable) wakeAll() {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	for key, queue := range ft.waiters {
-		for _, w := range queue {
-			close(w.ch)
-		}
+	for key, q := range ft.waiters {
+		q.WakeAll(0)
 		delete(ft.waiters, key)
 	}
 }
@@ -146,5 +133,5 @@ func (k *Kernel) WaitingOn(p *Process, addr mem.Addr) int {
 	}
 	k.futex.mu.Lock()
 	defer k.futex.mu.Unlock()
-	return len(k.futex.waiters[key])
+	return k.futex.waiters[key].Len()
 }

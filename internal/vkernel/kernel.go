@@ -9,6 +9,7 @@ import (
 	"remon/internal/model"
 	"remon/internal/vfs"
 	"remon/internal/vnet"
+	"remon/internal/wait"
 )
 
 // Call is one in-flight system call.
@@ -64,45 +65,34 @@ type ExitHandler interface {
 }
 
 // Hub is the readiness notification fan-out used by poll/select/epoll and
-// blocking reads: any state change broadcasts, sleepers re-check their
-// conditions. Simple and correct; the thundering herd is irrelevant at
-// simulation scale.
+// blocking reads: any state change wakes every sleeper, and sleepers
+// re-check their conditions. Simple and correct; the thundering herd is
+// irrelevant at simulation scale.
 type Hub struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	gen  uint64
-}
-
-// NewHub creates a hub.
-func NewHub() *Hub {
-	h := &Hub{}
-	h.cond = sync.NewCond(&h.mu)
-	return h
+	mu  sync.Mutex
+	q   wait.Queue
+	gen atomic.Uint64 // written under mu
 }
 
 // Notify wakes all sleepers.
 func (h *Hub) Notify() {
 	h.mu.Lock()
-	h.gen++
-	h.cond.Broadcast()
+	h.gen.Add(1)
+	h.q.WakeAll(0)
 	h.mu.Unlock()
 }
 
 // Gen reports the current generation counter.
-func (h *Hub) Gen() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.gen
-}
+func (h *Hub) Gen() uint64 { return h.gen.Load() }
 
-// WaitChange blocks until the generation moves past gen.
-func (h *Hub) WaitChange(gen uint64) uint64 {
+// WaitChange blocks until the generation moves past gen; vt is the
+// sleeper's virtual time.
+func (h *Hub) WaitChange(gen uint64, vt model.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for h.gen == gen {
-		h.cond.Wait()
+	for h.gen.Load() == gen {
+		h.q.Park(&h.mu, "vkernel.ready", vt)
 	}
-	return h.gen
 }
 
 // Kernel is the simulated operating system kernel.
@@ -153,11 +143,11 @@ func New(net *vnet.Network) *Kernel {
 	k := &Kernel{
 		FS:      vfs.New(),
 		Net:     net,
-		Hub:     NewHub(),
+		Hub:     &Hub{},
 		procs:   map[int]*Process{},
 		nextPID: 1000,
 		shmSegs: map[int]*mem.SharedSegment{},
-		futex:   newFutexTable(),
+		futex:   &futexTable{waiters: map[futexKey]*wait.Queue{}},
 	}
 	k.randState.Store(0xC0FFEE)
 	if net != nil {
@@ -270,6 +260,7 @@ type Thread struct {
 
 	mu       sync.Mutex
 	exitCode int
+	done     chan struct{} // closed at exit
 
 	// Hot flags are lock-free: every syscall reads exited and flips
 	// inIPMon twice, and the RB wait loops poll exited — taking t.mu for
@@ -330,7 +321,7 @@ func (p *Process) NewThread(parent *Thread) *Thread {
 	p.mu.Lock()
 	p.nextTID++
 	tid := p.PID*100 + p.nextTID
-	t := &Thread{TID: tid, Proc: p}
+	t := &Thread{TID: tid, Proc: p, done: make(chan struct{})}
 	t.rawExec = func(c *Call) Result { return p.Kernel.rawSyscall(t, c) }
 	p.threads[tid] = t
 	p.mu.Unlock()
@@ -360,6 +351,10 @@ func (t *Thread) InIPMon() bool { return t.inIPMon.Load() }
 
 // LastSyscall reports the most recent syscall issued by the thread.
 func (t *Thread) LastSyscall() *Call { return t.lastSyscall.Load() }
+
+// Done returns a channel closed when the thread exits: a wait that
+// nothing else ends at exit cancels on it (wait.Queue.ParkUntil).
+func (t *Thread) Done() <-chan struct{} { return t.done }
 
 // Exited reports whether the thread has terminated.
 func (t *Thread) Exited() bool { return t.exited.Load() }
@@ -584,6 +579,7 @@ func (t *Thread) exit(code int, crashed bool) {
 	}
 	t.exitCode = code
 	t.exited.Store(true)
+	close(t.done)
 	t.mu.Unlock()
 
 	p := t.Proc

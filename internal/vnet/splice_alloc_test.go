@@ -3,6 +3,7 @@ package vnet
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"remon/internal/model"
 )
@@ -162,5 +163,14 @@ func TestSpliceZeroAllocSteadyState(t *testing.T) {
 	}
 	if out := sp.Outstanding(); out != 0 {
 		t.Fatalf("outstanding after every response = %d, want 0", out)
+	}
+}
+
+// TestRxQueueFitsOneCacheLine pins the receive queue at 64 bytes: its
+// wait queue is one pointer, so a connection's two rx queues stay in the
+// 64-byte size class.
+func TestRxQueueFitsOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(rxQueue{}); n != 64 {
+		t.Fatalf("rxQueue is %d bytes, want 64", n)
 	}
 }

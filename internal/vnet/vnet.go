@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"remon/internal/model"
+	"remon/internal/wait"
 )
 
 // Errors mirroring socket errnos.
@@ -73,8 +74,8 @@ type segment struct {
 
 // rxQueue is the receive side of one stream direction.
 type rxQueue struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
+	q  wait.Queue // blocking receives; one pointer, so rxQueue stays 64 bytes
 	// segs[head:] are the queued segments. Popping advances head and
 	// never re-slices segs, so the backing array keeps its capacity: a
 	// queue that never holds more than cap(segs) segments is reused
@@ -101,12 +102,6 @@ func (q *rxQueue) kick() {
 	q.mu.Unlock()
 }
 
-func newRxQueue() *rxQueue {
-	q := &rxQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
 func (q *rxQueue) push(data []byte, arrive model.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -125,7 +120,7 @@ func (q *rxQueue) push(data []byte, arrive model.Duration) {
 		q.segs, q.head = q.segs[:n], 0
 	}
 	q.segs = append(q.segs, segment{data: data, arrive: arrive})
-	q.cond.Broadcast()
+	q.q.WakeAll(arrive)
 	q.watch.notify()
 }
 
@@ -133,7 +128,7 @@ func (q *rxQueue) closePeer() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	q.cond.Broadcast()
+	q.q.WakeAll(q.lastArrive)
 	q.watch.notify()
 }
 
@@ -142,7 +137,7 @@ func (q *rxQueue) closeLocal() {
 	defer q.mu.Unlock()
 	q.reset = true
 	q.segs, q.head = nil, 0
-	q.cond.Broadcast()
+	q.q.WakeAll(q.lastArrive)
 	q.watch.notify()
 }
 
@@ -172,17 +167,8 @@ func (q *rxQueue) queued() int { return len(q.segs) - int(q.head) }
 func (q *rxQueue) read(b []byte, block bool) (int, model.Duration, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.queued() == 0 {
-		if q.reset {
-			return 0, 0, ErrClosed
-		}
-		if q.closed {
-			return 0, 0, nil // EOF
-		}
-		if !block {
-			return 0, 0, ErrWouldBlock
-		}
-		q.cond.Wait()
+	if err := q.await(block); err != nil || q.queued() == 0 {
+		return 0, 0, err
 	}
 	var n int
 	var arrive model.Duration
@@ -203,6 +189,23 @@ func (q *rxQueue) read(b []byte, block bool) (int, model.Duration, error) {
 	return n, arrive, nil
 }
 
+// await parks a blocking receive until a segment is queued (q.mu held).
+// It returns with nothing queued at EOF.
+func (q *rxQueue) await(block bool) error {
+	for q.queued() == 0 {
+		switch {
+		case q.reset:
+			return ErrClosed
+		case q.closed:
+			return nil // EOF
+		case !block:
+			return ErrWouldBlock
+		}
+		q.q.Park(&q.mu, "vnet.recv", 0)
+	}
+	return nil
+}
+
 // popFront drops the queue head, rewinding to the backing array's start
 // when the queue empties.
 func (q *rxQueue) popFront() {
@@ -219,17 +222,8 @@ func (q *rxQueue) popFront() {
 func (q *rxQueue) popSeg(block bool) ([]byte, model.Duration, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.queued() == 0 {
-		if q.reset {
-			return nil, 0, ErrClosed
-		}
-		if q.closed {
-			return nil, 0, nil // EOF
-		}
-		if !block {
-			return nil, 0, ErrWouldBlock
-		}
-		q.cond.Wait()
+	if err := q.await(block); err != nil || q.queued() == 0 {
+		return nil, 0, err
 	}
 	s := q.segs[q.head]
 	q.popFront()
@@ -376,7 +370,7 @@ type Listener struct {
 	net     *Network
 	addr    string
 	mu      sync.Mutex
-	cond    *sync.Cond
+	q       wait.Queue // Accept and Connect's wait for backlog room
 	queue   []pendingConn
 	closed  bool
 	backlog int
@@ -418,13 +412,13 @@ func (l *Listener) Accept(block bool) (*Conn, model.Duration, error) {
 		if !block {
 			return nil, 0, ErrWouldBlock
 		}
-		l.cond.Wait()
+		l.q.Park(&l.mu, "vnet.accept", 0)
 	}
 	p := l.queue[0]
 	l.queue = l.queue[1:]
 	// Popping opened backlog room: wake connectors parked in the SYN
-	// queue (Connect's wait-for-room loop shares this cond).
-	l.cond.Broadcast()
+	// queue (Connect's wait-for-room loop shares this queue).
+	l.q.WakeAll(p.arrive)
 	l.net.st.accepts.Add(1)
 	return p.conn, p.arrive, nil
 }
@@ -435,7 +429,7 @@ func (l *Listener) Close() {
 	queued := l.queue
 	l.queue = nil
 	l.closed = true
-	l.cond.Broadcast()
+	l.q.WakeAll(0)
 	l.watch.notify()
 	l.mu.Unlock()
 	for _, p := range queued {
@@ -620,7 +614,6 @@ func (n *Network) Listen(addr string, backlog int) (*Listener, error) {
 		return nil, ErrAddrInUse
 	}
 	l := &Listener{net: n, addr: addr, backlog: backlog}
-	l.cond = sync.NewCond(&l.mu)
 	n.listeners[addr] = l
 	return l, nil
 }
@@ -675,8 +668,8 @@ func (n *Network) connect(addr string, now model.Duration, block bool) (*Conn, m
 		return nil, now + 2*link.Latency, ErrConnRefused
 	}
 
-	client := &Conn{net: n, link: link, localAddr: localAddr, remoteAddr: addr, rx: newRxQueue()}
-	server := &Conn{net: n, link: link, localAddr: addr, remoteAddr: localAddr, rx: newRxQueue()}
+	client := &Conn{net: n, link: link, localAddr: localAddr, remoteAddr: addr, rx: &rxQueue{}}
+	server := &Conn{net: n, link: link, localAddr: addr, remoteAddr: localAddr, rx: &rxQueue{}}
 	client.peer = server
 	server.peer = client
 
@@ -691,7 +684,7 @@ func (n *Network) connect(addr string, now model.Duration, block bool) (*Conn, m
 		return nil, now + 2*link.Latency, ErrConnRefused
 	}
 	l.queue = append(l.queue, pendingConn{conn: server, arrive: now + link.Latency})
-	l.cond.Broadcast()
+	l.q.WakeAll(now + link.Latency)
 	l.watch.notify()
 	l.mu.Unlock()
 	n.st.connects.Add(1)
@@ -702,36 +695,23 @@ func (n *Network) connect(addr string, now model.Duration, block bool) (*Conn, m
 // waitRoom blocks (with l.mu held) until the accept queue has room, the
 // listener closes, or the wait budget runs out. It reports whether the
 // caller may enqueue.
-func (l *Listener) waitRoom(wait time.Duration) bool {
-	if l.closed {
-		return false
-	}
-	if l.backlog <= 0 || len(l.queue) < l.backlog {
-		return true
-	}
-	if wait <= 0 {
-		return false
-	}
-	timedOut := false
-	timer := time.AfterFunc(wait, func() {
-		l.mu.Lock()
-		timedOut = true
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	})
-	defer timer.Stop()
-	for {
-		if l.closed {
-			return false
-		}
-		if len(l.queue) < l.backlog {
+func (l *Listener) waitRoom(budget time.Duration) bool {
+	var deadline time.Time
+	for !l.closed {
+		if l.backlog <= 0 || len(l.queue) < l.backlog {
 			return true
 		}
-		if timedOut {
+		if budget <= 0 {
 			return false
 		}
-		l.cond.Wait()
+		if deadline.IsZero() {
+			deadline = time.Now().Add(budget)
+		}
+		if _, ok := l.q.ParkUntil(&l.mu, "vnet.backlog", 0, nil, deadline); !ok {
+			return !l.closed && len(l.queue) < l.backlog
+		}
 	}
+	return false
 }
 
 func itoa(v int) string {
